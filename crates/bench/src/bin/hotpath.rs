@@ -3,16 +3,23 @@
 //!
 //! The expansion of a DPF key over the full domain and the selector-driven
 //! XOR scan bound every backend's throughput (paper §3.2), so this bin
-//! measures five things:
+//! measures six things:
 //!
 //! * **self-check** — every registered [`impir_core::dpxor::ScanKernel`]
 //!   is replayed against the scalar oracle across record sizes (including
 //!   odd ones) and selector densities; any divergence exits with code 3
 //!   before a single timing is reported.
+//! * **prg blocks/s** — AES blocks per second through the byte-oriented
+//!   oracle ([`LengthDoublingPrg::expand`], one block at a time) against the
+//!   table-driven batch kernel ([`LengthDoublingPrg::expand_level_into`]) on
+//!   the same [`PRG_SEEDS`] seeds, after pinning the two byte-identical; on
+//!   a ≥2^18 run the kernel must be ≥2.0× the oracle or the bin exits with
+//!   code 2.
 //! * **expand** — the original per-level allocating expansion
 //!   ([`impir_dpf::eval::expand_subtree_reference`]) against the
 //!   zero-allocation `expand_level_into`/`EvalScratch` pipeline
-//!   ([`impir_dpf::eval::expand_subtree_into`]).
+//!   ([`impir_dpf::eval::expand_subtree_into`]). Both ride the batch AES
+//!   kernel, so their ratio isolates allocation and packing, not AES.
 //! * **scan old vs new** — the previous single-u64 wide path
 //!   ([`impir_core::dpxor::xor_select_wide`]) against the runtime-dispatched
 //!   kernel ([`impir_core::dpxor::best_kernel`]); on a ≥2^18 domain the
@@ -53,6 +60,7 @@ use impir_core::protocol::QueryShare;
 use impir_core::server::cpu::{CpuPirServer, CpuServerConfig};
 use impir_core::server::PirServer;
 use impir_crypto::prg::LengthDoublingPrg;
+use impir_crypto::Block;
 use impir_dpf::eval::{
     eval_prefix, expand_subtree_into, expand_subtree_reference, EvalScratch, NodeState,
 };
@@ -71,6 +79,15 @@ const RECORD_BYTES: usize = 40;
 /// scan runs in about a millisecond, so individual samples would be
 /// timer-noise bound.
 const SCANS_PER_SAMPLE: usize = 16;
+
+/// Seeds per PRG timing sample: one mid-tree GGM level, small enough that
+/// seeds and children stay in L2, so the figure is the AES rate and not a
+/// memory rate.
+const PRG_SEEDS: usize = 4096;
+
+/// The batch AES kernel must deliver at least this multiple of the oracle's
+/// blocks/s on a full-size run.
+const PRG_KERNEL_BAR: f64 = 2.0;
 
 fn main() {
     let mut args = std::env::args().skip(1);
@@ -100,9 +117,23 @@ fn main() {
          wide path by >=1.2x on a >=2^18 domain",
     );
 
+    let (prg_oracle, prg_kernel) = time_prg(iterations);
     let (expand_old, expand_new) = time_expand(domain_bits, iterations);
     let (scan_old, scan_new) = time_scan(domain_bits, iterations);
 
+    let mut prg = Series::new("prg blocks/s (AES blocks through the GGM PRG)", "blocks/s");
+    prg.push(DataPoint::new("oracle (single-block)", 0.0, prg_oracle));
+    prg.push(DataPoint::new(
+        "batch kernel (expand_level_into)",
+        1.0,
+        prg_kernel,
+    ));
+    prg.push(DataPoint::new(
+        "kernel / oracle",
+        2.0,
+        prg_kernel / prg_oracle,
+    ));
+    report.push_series(prg);
     let mut expand = Series::new("expand (full-domain DPF evaluation)", "seconds");
     expand.push(DataPoint::new("old", 0.0, expand_old));
     expand.push(DataPoint::new("new", 1.0, expand_new));
@@ -154,11 +185,13 @@ fn main() {
     let single = RooflineModel::for_device(&DeviceProfile::measured_host(
         probe.per_thread_bytes_per_sec,
         probe.per_thread_bytes_per_sec,
+        prg_kernel,
         1,
     ));
     let aggregate = RooflineModel::for_device(&DeviceProfile::measured_host(
         probe.per_thread_bytes_per_sec,
         probe.aggregate_bytes_per_sec,
+        prg_kernel,
         probe.threads,
     ));
     let mut roofline_series = Series::new(
@@ -204,6 +237,15 @@ fn main() {
         dpxor::best_kernel().name()
     ));
     report.push_note(format!(
+        "prg: {:.2} M AES blocks/s through the byte-oriented oracle, {:.2} M through the \
+         table-driven batch kernel ({:.2}x; {PRG_SEEDS} seeds, two blocks each, one thread); \
+         `expand old` and `expand new` both ride the batch kernel, so their ratio no longer \
+         contains any AES difference",
+        prg_oracle / 1e6,
+        prg_kernel / 1e6,
+        prg_kernel / prg_oracle
+    ));
+    report.push_note(format!(
         "measured read bandwidth: {:.2} GB/s single-thread, {:.2} GB/s with {} threads \
          (streaming XOR-fold over the {}-byte scan working set); scan GB/s counts \
          selected-record bytes (count_ones x record_size)",
@@ -234,6 +276,14 @@ fn main() {
     // its self-check and its report format alive.
     let enforce = domain_bits >= 18;
     let mut regressed = false;
+    if prg_kernel < prg_oracle * PRG_KERNEL_BAR {
+        regressed = true;
+        eprintln!(
+            "warning: batch AES kernel below the {PRG_KERNEL_BAR}x bar vs the oracle \
+             ({:.2}x: {prg_kernel:.0} vs {prg_oracle:.0} blocks/s)",
+            prg_kernel / prg_oracle
+        );
+    }
     if expand_new > expand_old * 1.10 {
         regressed = true;
         eprintln!(
@@ -312,6 +362,55 @@ fn kernel_self_check() {
         "[self-check passed: {} kernels byte-identical to the scalar oracle]",
         dpxor::kernels().len()
     );
+}
+
+/// AES blocks per second through the GGM PRG, `(oracle, batch kernel)`:
+/// [`PRG_SEEDS`] seeds expanded one node at a time through the byte-oriented
+/// reference AES, then as one level through `expand_level_into`. The two are
+/// pinned byte-identical before either is timed.
+fn time_prg(iterations: usize) -> (f64, f64) {
+    let mut rng = StdRng::seed_from_u64(0x7072_675f);
+    let seeds: Vec<Block> = (0..PRG_SEEDS)
+        .map(|_| Block::from(rng.gen::<u128>()))
+        .collect();
+    let prg = LengthDoublingPrg::shared();
+    let mut left = vec![Block::ZERO; PRG_SEEDS];
+    let mut right = vec![Block::ZERO; PRG_SEEDS];
+    let mut controls = vec![0u64; PRG_SEEDS.div_ceil(32)];
+    prg.expand_level_into(&seeds, &mut left, &mut right, &mut controls);
+    for (i, seed) in seeds.iter().enumerate() {
+        let node = prg.expand(*seed);
+        let pair = (controls[i / 32] >> ((i % 32) * 2)) & 0b11;
+        assert!(
+            node.left.seed == left[i]
+                && node.right.seed == right[i]
+                && node.left.control == (pair & 1 == 1)
+                && node.right.control == (pair & 2 == 2),
+            "batch kernel and oracle disagree on seed {i}"
+        );
+    }
+
+    let mut best_oracle = f64::INFINITY;
+    let mut best_kernel = f64::INFINITY;
+    for _ in 0..iterations.max(3) {
+        let started = Instant::now();
+        for seed in &seeds {
+            std::hint::black_box(prg.expand(std::hint::black_box(*seed)));
+        }
+        best_oracle = best_oracle.min(started.elapsed().as_secs_f64());
+
+        let started = Instant::now();
+        prg.expand_level_into(
+            std::hint::black_box(&seeds),
+            &mut left,
+            &mut right,
+            &mut controls,
+        );
+        std::hint::black_box(&controls);
+        best_kernel = best_kernel.min(started.elapsed().as_secs_f64());
+    }
+    let blocks = LengthDoublingPrg::aes_ops_per_level(PRG_SEEDS) as f64;
+    (blocks / best_oracle, blocks / best_kernel)
 }
 
 /// Times one full-domain expansion per iteration through the old and the

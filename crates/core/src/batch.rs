@@ -347,18 +347,18 @@ pub type SelectorEvaluator =
 /// build their evaluator through this single definition so domain
 /// validation cannot drift between them.
 ///
-/// The evaluator owns a [`ScratchPool`](impir_dpf::ScratchPool) and a
-/// pre-expanded PRG: each in-flight evaluation checks a scratch out of the
-/// pool, so once every stage-1 worker has warmed one up, steady-state batch
-/// serving performs **no heap allocation on the expansion path** (the
-/// result vector itself is the only per-query allocation). The pool — and
-/// therefore the warmed scratches — lives as long as the evaluator, across
-/// batches.
+/// The evaluator owns a [`ScratchPool`](impir_dpf::ScratchPool) and borrows
+/// the process-wide pre-expanded PRG: each in-flight evaluation checks a
+/// scratch out of the pool, so once every stage-1 worker has warmed one
+/// up, steady-state batch serving performs **no heap allocation on the
+/// expansion path** (the result vector itself is the only per-query
+/// allocation). The pool — and therefore the warmed scratches — lives as
+/// long as the evaluator, across batches.
 pub fn database_selector_evaluator(
     database: std::sync::Arc<crate::database::Database>,
     strategy: impir_dpf::EvalStrategy,
 ) -> SelectorEvaluator {
-    let prg = impir_crypto::prg::LengthDoublingPrg::default();
+    let prg = impir_crypto::prg::LengthDoublingPrg::shared();
     let scratches = impir_dpf::ScratchPool::new();
     Box::new(move |share| {
         let expected = database.domain_bits();
@@ -369,7 +369,7 @@ pub fn database_selector_evaluator(
             });
         }
         let selector = scratches.with(|scratch| {
-            strategy.eval_range_with_scratch(&share.key, 0, database.num_records(), &prg, scratch)
+            strategy.eval_range_with_scratch(&share.key, 0, database.num_records(), prg, scratch)
         })?;
         Ok(selector)
     })

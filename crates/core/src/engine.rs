@@ -263,16 +263,16 @@ impl ShardTiming {
 }
 
 /// Builds the sharded engine's full-domain strategy evaluator: the closure
-/// owns the PRG and a scratch pool, so every evaluation through it — from
-/// any batch, on any stage-1 worker — checks warmed buffers out of one
-/// long-lived pool.
+/// owns a scratch pool, so every evaluation through it — from any batch,
+/// on any stage-1 worker — checks warmed buffers out of one long-lived
+/// pool.
 fn strategy_evaluator(strategy: EvalStrategy, num_records: u64) -> EngineEvaluator {
-    let prg = impir_crypto::prg::LengthDoublingPrg::default();
+    let prg = impir_crypto::prg::LengthDoublingPrg::shared();
     let scratches = impir_dpf::ScratchPool::new();
     EngineEvaluator(Box::new(move |share| {
         scratches
             .with(|scratch| {
-                strategy.eval_range_with_scratch(&share.key, 0, num_records, &prg, scratch)
+                strategy.eval_range_with_scratch(&share.key, 0, num_records, prg, scratch)
             })
             .map_err(PirError::from)
     }))

@@ -3,61 +3,40 @@
 //! §3.2 of the paper ("AES-NI optimization") batches AES calls across all
 //! GGM-tree nodes of a level so the hardware pipeline stays full. The same
 //! structure is exposed here: callers hand over a whole level's worth of
-//! blocks at once, and the implementation processes them in fixed-size
-//! chunks (the software stand-in for the pipelining window).
+//! blocks at once and the table-driven kernel of [`crate::aes`] carries
+//! [`PIPELINE_WIDTH`] of them through the rounds together — in software the
+//! thing being hidden is the latency of a table load rather than of an
+//! `aesenc`, but the batching decision is the paper's.
+//!
+//! Everything in this module rides the **hot path** (the word-oriented
+//! kernel behind [`Aes128::encrypt_blocks`]); the byte-oriented
+//! [`Aes128::encrypt_block`] is its oracle. Neither is constant-time — see
+//! the [`crate::aes`] module docs for why that is acceptable for the
+//! server-side work batched here.
 
 use crate::aes::Aes128;
 use crate::Block;
 
-/// Number of blocks processed per "pipeline window".
+/// Blocks the batch kernel carries through the AES rounds together.
 ///
-/// AES-NI on recent Intel parts can keep 4–8 independent encryptions in
-/// flight; IM-PIR batches by level so the window is always full. The exact
-/// value has no functional effect, it only shapes the chunked traversal.
-pub const PIPELINE_WIDTH: usize = 8;
-
-/// Encrypts `blocks` in place using `cipher`, in pipeline-width chunks.
-///
-/// Functionally identical to [`Aes128::encrypt_blocks`]; the chunked form
-/// exists so higher layers (DPF level-wise evaluation) express the same
-/// batching decision the paper makes for AES-NI.
-///
-/// # Example
-///
-/// ```
-/// use impir_crypto::{aes::Aes128, batch::encrypt_batch, Block};
-///
-/// let cipher = Aes128::new([3u8; 16]);
-/// let mut blocks: Vec<Block> = (0..10u128).map(Block::from).collect();
-/// let mut expected = blocks.clone();
-/// cipher.encrypt_blocks(&mut expected);
-/// encrypt_batch(&cipher, &mut blocks);
-/// assert_eq!(blocks, expected);
-/// ```
-pub fn encrypt_batch(cipher: &Aes128, blocks: &mut [Block]) {
-    for chunk in blocks.chunks_mut(PIPELINE_WIDTH) {
-        cipher.encrypt_blocks(chunk);
-    }
-}
+/// Every round of a block is sixteen dependent-address table lookups; with
+/// one block in flight the core waits out each load's latency, with four
+/// the loads of one block hide behind the others'. AES-NI on recent Intel
+/// parts keeps 4–8 independent encryptions in flight the same way. The
+/// GGM expansion gets its four from two seeds under the two fixed keys.
+/// Results do not depend on the width; throughput does.
+pub const PIPELINE_WIDTH: usize = 4;
 
 /// Applies the Matyas–Meyer–Oseas compression `x ↦ AES_k(x) ⊕ x` to every
 /// block of `blocks`, in place.
 ///
 /// This is the fixed-key, correlation-robust hash at the heart of the GGM
 /// PRG expansion; batching it is what makes level-wise DPF evaluation
-/// AES-bound rather than control-flow-bound.
+/// AES-bound rather than control-flow-bound. The feed-forward XOR happens
+/// while the inputs are still in registers, so the batch runs without a
+/// copy of the level and without touching the heap.
 pub fn mmo_batch(cipher: &Aes128, blocks: &mut [Block]) {
-    // The feedforward copy lives on the stack (one pipeline window) so the
-    // whole batch runs without touching the heap — a requirement of the
-    // zero-allocation DPF expansion path built on top of this function.
-    let mut inputs = [Block::ZERO; PIPELINE_WIDTH];
-    for chunk in blocks.chunks_mut(PIPELINE_WIDTH) {
-        inputs[..chunk.len()].copy_from_slice(chunk);
-        cipher.encrypt_blocks(chunk);
-        for (out, input) in chunk.iter_mut().zip(&inputs) {
-            *out ^= *input;
-        }
-    }
+    cipher.map_blocks(blocks, |input, output| output ^ input);
 }
 
 /// Counts how many AES block encryptions a batch of `n` MMO evaluations
@@ -73,16 +52,6 @@ pub fn aes_ops_for_mmo(n: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn encrypt_batch_matches_scalar() {
-        let cipher = Aes128::new([7u8; 16]);
-        let mut batch: Vec<Block> = (0..37u128).map(Block::from).collect();
-        let mut expected = batch.clone();
-        cipher.encrypt_blocks(&mut expected);
-        encrypt_batch(&cipher, &mut batch);
-        assert_eq!(batch, expected);
-    }
 
     #[test]
     fn mmo_batch_is_aes_xor_input() {

@@ -7,13 +7,24 @@
 //!
 //! * [`Block`] — a 128-bit value, the unit every AES/PRG/PRF operation works
 //!   on;
-//! * [`aes::Aes128`] — a self-contained, table-free FIPS-197 AES-128
-//!   implementation (encryption only, which is all a PRF needs);
+//! * [`aes::Aes128`] — a self-contained FIPS-197 AES-128 (encryption only,
+//!   which is all a PRF needs) in two forms: the byte-oriented
+//!   [`encrypt_block`](aes::Aes128::encrypt_block), which is the **oracle**
+//!   and the path client-side `Gen` takes, and the word-oriented,
+//!   table-driven, four-blocks-in-flight
+//!   [`encrypt_blocks`](aes::Aes128::encrypt_blocks), which is the **hot
+//!   path**. Neither is constant-time; [`aes`] says why that is acceptable
+//!   for what each one serves;
 //! * [`batch`] — a batched multi-block encryption API mirroring how IM-PIR
-//!   batches AES-NI invocations across GGM-tree nodes at each level;
+//!   batches AES-NI invocations across GGM-tree nodes at each level, on the
+//!   hot path;
 //! * [`prg::LengthDoublingPrg`] — the fixed-key, length-doubling PRG
 //!   (Matyas–Meyer–Oseas style) that expands one GGM node into its two
-//!   children;
+//!   children: node by node on the oracle path
+//!   ([`expand`](prg::LengthDoublingPrg::expand)), a whole level at a time
+//!   on the hot one
+//!   ([`expand_level_into`](prg::LengthDoublingPrg::expand_level_into),
+//!   where server-side `Eval` spends its time);
 //! * [`prf::Prf`] / [`prf::AesPrf`] — the keyed PRF abstraction used by the
 //!   DPF key-generation procedure.
 //!

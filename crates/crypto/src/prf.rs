@@ -65,7 +65,7 @@ impl Prf for AesPrf {
     }
 
     fn eval_batch(&self, inputs: &mut [Block]) {
-        crate::batch::encrypt_batch(&self.cipher, inputs);
+        self.cipher.encrypt_blocks(inputs);
     }
 }
 

@@ -6,10 +6,21 @@
 //! keys). The per-child control bits are derived from the low bit of the
 //! expanded seeds, exactly as in the Boyle–Gilboa–Ishai DPF that the
 //! paper's construction [62] builds upon.
+//!
+//! Two routes compute the same function. [`LengthDoublingPrg::expand`] and
+//! [`LengthDoublingPrg::expand_one`] go node by node through the
+//! byte-oriented reference AES — the oracle, and the path `Gen` and
+//! single-point `Eval` walk. [`LengthDoublingPrg::expand_level_into`] takes
+//! a whole level through the table-driven batch kernel in one fused pass —
+//! the path server-side full-domain `Eval` spends its time in. Client and
+//! server only agree on a DPF key if the two routes agree on every byte; a
+//! literal golden vector in this module's tests pins both.
+
+use std::sync::OnceLock;
 
 use serde::{Deserialize, Serialize};
 
-use crate::aes::Aes128;
+use crate::aes::{encrypt_lanes, Aes128};
 use crate::Block;
 
 /// The expansion of one GGM seed into a child seed plus control bit.
@@ -91,6 +102,16 @@ impl Default for LengthDoublingPrg {
 }
 
 impl LengthDoublingPrg {
+    /// The process-wide [`Default`] instance, its two key schedules run
+    /// once. The keys are public constants, so every party's PRG is this
+    /// one; entry points that are not handed a PRG borrow it instead of
+    /// re-expanding both keys per call.
+    #[must_use]
+    pub fn shared() -> &'static LengthDoublingPrg {
+        static SHARED: OnceLock<LengthDoublingPrg> = OnceLock::new();
+        SHARED.get_or_init(LengthDoublingPrg::default)
+    }
+
     /// Creates a PRG with caller-provided fixed keys.
     ///
     /// All parties of one PIR deployment must agree on the same keys; the
@@ -153,7 +174,8 @@ impl LengthDoublingPrg {
 
     /// Expands a level of parent seeds directly into caller-owned buffers,
     /// performing **no heap allocation** — the hot-path form of
-    /// [`LengthDoublingPrg::expand_level`].
+    /// [`LengthDoublingPrg::expand_level`], and the call server-side
+    /// full-domain `Eval` spends its time in.
     ///
     /// For each parent `i` of `seeds`:
     ///
@@ -164,8 +186,12 @@ impl LengthDoublingPrg {
     ///   already in left-to-right child order, ready for word-level
     ///   correction and merging by the DPF's level expansion.
     ///
-    /// The AES calls go through the batched MMO path per child side, so the
-    /// access pattern still matches §3.2's AES-NI batching.
+    /// One pass: each pair of seeds is loaded once, run under both fixed
+    /// keys as the four interleaved lanes of the batch AES kernel
+    /// ([`crate::batch::PIPELINE_WIDTH`]), fed forward, and stored with its
+    /// control bits already packed — §3.2's "keep the AES pipeline full",
+    /// with the load latency of a table lookup standing in for the AES-NI
+    /// pipeline.
     ///
     /// # Panics
     ///
@@ -179,31 +205,44 @@ impl LengthDoublingPrg {
         controls: &mut [u64],
     ) {
         let n = seeds.len();
-        let control_words = n.div_ceil(32);
         assert!(left.len() >= n, "left buffer holds fewer blocks than seeds");
         assert!(
             right.len() >= n,
             "right buffer holds fewer blocks than seeds"
         );
         assert!(
-            controls.len() >= control_words,
+            controls.len() >= n.div_ceil(32),
             "controls buffer too small: {} words for {n} parents",
             controls.len()
         );
-        left[..n].copy_from_slice(seeds);
-        right[..n].copy_from_slice(seeds);
-        crate::batch::mmo_batch(&self.left_key, &mut left[..n]);
-        crate::batch::mmo_batch(&self.right_key, &mut right[..n]);
-        for word in &mut controls[..control_words] {
-            *word = 0;
-        }
-        for i in 0..n {
-            let raw_left = left[i];
-            let raw_right = right[i];
-            controls[i / 32] |=
-                (u64::from(raw_left.lsb()) | (u64::from(raw_right.lsb()) << 1)) << ((i % 32) * 2);
-            left[i] = raw_left.with_lsb_cleared();
-            right[i] = raw_right.with_lsb_cleared();
+        let (l, r) = (&self.left_key, &self.right_key);
+        // One control word covers 32 parents, so the level is walked a word
+        // at a time and each word is written exactly once.
+        let words = seeds
+            .chunks(32)
+            .zip(left[..n].chunks_mut(32))
+            .zip(right[..n].chunks_mut(32))
+            .zip(controls.iter_mut());
+        for (((seeds, left), right), word) in words {
+            let mut packed = 0u64;
+            let mut store = |i: usize, seed: Block, raw_left: Block, raw_right: Block| {
+                let (raw_left, raw_right) = (raw_left ^ seed, raw_right ^ seed);
+                packed |= (u64::from(raw_left.lsb()) | u64::from(raw_right.lsb()) << 1) << (2 * i);
+                left[i] = raw_left.with_lsb_cleared();
+                right[i] = raw_right.with_lsb_cleared();
+            };
+            let mut pairs = seeds.chunks_exact(2);
+            for (pair, chunk) in (&mut pairs).enumerate() {
+                let (a, b) = (chunk[0], chunk[1]);
+                let [la, ra, lb, rb] = encrypt_lanes([l, r, l, r], [a, a, b, b]);
+                store(2 * pair, a, la, ra);
+                store(2 * pair + 1, b, lb, rb);
+            }
+            if let [a] = *pairs.remainder() {
+                let [la, ra] = encrypt_lanes([l, r], [a, a]);
+                store(seeds.len() - 1, a, la, ra);
+            }
+            *word = packed;
         }
     }
 
@@ -284,6 +323,72 @@ mod tests {
                 assert_eq!(tail, 0, "n={n} stale bits past the last parent");
             }
         }
+    }
+
+    #[test]
+    fn default_prg_golden_vector() {
+        // A DPF key on the wire only means something if the client's and
+        // the server's PRGs agree — across processes and across commits.
+        // These literals were produced by the byte-oriented implementation
+        // this crate started with; any kernel must reproduce them.
+        let seeds = [
+            0,
+            1,
+            0x0123_4567_89ab_cdef_fedc_ba98_7654_3210,
+            0xdead_beef_cafe_f00d_0bad_c0de_face_b00c,
+            u128::MAX,
+        ]
+        .map(Block::from);
+        let children: [(u128, u128); 5] = [
+            (
+                0xe007_64f8_7ef7_670e_9dd5_9737_05ff_2b5a,
+                0x02d1_3398_febc_5f01_c7bd_d071_077e_6a48,
+            ),
+            (
+                0x5fe0_e31a_c633_2138_457b_0c2c_ad93_3fba,
+                0x34ad_1446_3bd4_f120_1cf2_ca11_5a9f_b7dc,
+            ),
+            (
+                0xd215_20d4_9bfe_dd00_a2e5_7501_73f0_7198,
+                0x7bce_4c75_3c95_66ba_bfa9_b303_595e_da4a,
+            ),
+            (
+                0x9325_6489_c929_41fc_876d_140c_cf5d_5e86,
+                0x4031_3f47_5c3b_8fb6_d414_28e6_fa58_294c,
+            ),
+            (
+                0x9bae_ccb1_59b0_7933_23ad_cae5_7a6d_8d66,
+                0xc13d_038e_4c48_378c_9fda_3e37_8e47_cd48,
+            ),
+        ];
+        let prg = LengthDoublingPrg::default();
+        let mut left = [Block::ZERO; 5];
+        let mut right = [Block::ZERO; 5];
+        let mut controls = [u64::MAX; 1];
+        prg.expand_level_into(&seeds, &mut left, &mut right, &mut controls);
+        for (i, (l, r)) in children.into_iter().enumerate() {
+            assert_eq!(left[i], Block::from(l), "left child of seed {i}");
+            assert_eq!(right[i], Block::from(r), "right child of seed {i}");
+        }
+        assert_eq!(controls, [0x1d6]);
+        // The reference path (what `Gen` walks) lands on the same values.
+        for (i, seed) in seeds.into_iter().enumerate() {
+            let pair = (controls[0] >> (2 * i)) & 0b11;
+            let expansion = prg.expand(seed);
+            assert_eq!(expansion.left.seed, left[i]);
+            assert_eq!(expansion.right.seed, right[i]);
+            assert_eq!(expansion.left.control, pair & 1 == 1);
+            assert_eq!(expansion.right.control, pair & 2 == 2);
+        }
+    }
+
+    #[test]
+    fn shared_instance_is_the_default_prg() {
+        let seed = Block::from(0x5eed_u128);
+        assert_eq!(
+            LengthDoublingPrg::shared().expand(seed),
+            LengthDoublingPrg::default().expand(seed)
+        );
     }
 
     #[test]

@@ -145,7 +145,7 @@ pub fn step_both(
 /// # Ok::<(), impir_dpf::DpfError>(())
 /// ```
 pub fn eval_point(key: &DpfKey, x: u64) -> Result<bool, DpfError> {
-    eval_point_with_prg(key, x, &LengthDoublingPrg::default())
+    eval_point_with_prg(key, x, LengthDoublingPrg::shared())
 }
 
 /// [`eval_point`] with a caller-provided PRG (avoids re-expanding the fixed
@@ -503,8 +503,7 @@ pub fn expand_subtree_reference(
 /// variants the paper discusses.
 #[must_use]
 pub fn eval_full(key: &DpfKey) -> SelectorVector {
-    let prg = LengthDoublingPrg::default();
-    expand_subtree(key, NodeState::root(key), 0, &prg)
+    expand_subtree(key, NodeState::root(key), 0, LengthDoublingPrg::shared())
 }
 
 /// Evaluates the key over the index range `[start, start + count)`.
@@ -519,7 +518,7 @@ pub fn eval_full(key: &DpfKey) -> SelectorVector {
 /// Returns [`DpfError::InputOutOfDomain`] if the range extends past the
 /// domain.
 pub fn eval_range(key: &DpfKey, start: u64, count: u64) -> Result<SelectorVector, DpfError> {
-    eval_range_with_prg(key, start, count, &LengthDoublingPrg::default())
+    eval_range_with_prg(key, start, count, LengthDoublingPrg::shared())
 }
 
 /// [`eval_range`] with a caller-provided PRG.

@@ -45,7 +45,7 @@ pub fn generate_keys<R: Rng + ?Sized>(
     alpha: u64,
     rng: &mut R,
 ) -> Result<(DpfKey, DpfKey), DpfError> {
-    generate_keys_with_prg(domain_bits, alpha, rng, &LengthDoublingPrg::default())
+    generate_keys_with_prg(domain_bits, alpha, rng, LengthDoublingPrg::shared())
 }
 
 /// Same as [`generate_keys`] but with a caller-provided PRG instance.

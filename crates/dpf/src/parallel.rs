@@ -124,8 +124,7 @@ impl EvalStrategy {
     /// Evaluates `key` over its whole domain with this strategy.
     #[must_use]
     pub fn eval_full(&self, key: &DpfKey) -> SelectorVector {
-        let prg = LengthDoublingPrg::default();
-        self.eval_full_with_prg(key, &prg)
+        self.eval_full_with_prg(key, LengthDoublingPrg::shared())
     }
 
     /// [`EvalStrategy::eval_full`] with a caller-provided PRG.
@@ -165,7 +164,7 @@ impl EvalStrategy {
         // arithmetic below can never wrap: after this check every offset
         // the workers compute stays within `domain ≤ 2^MAX_DOMAIN_BITS`.
         check_range(key, start, count)?;
-        let prg = LengthDoublingPrg::default();
+        let prg = LengthDoublingPrg::shared();
         match *self {
             EvalStrategy::SubtreeParallel { threads } if threads > 1 && count > 1 => {
                 let workers = threads.min(count as usize);
@@ -173,7 +172,6 @@ impl EvalStrategy {
                 let parts: Vec<Result<SelectorVector, DpfError>> = std::thread::scope(|scope| {
                     let handles: Vec<_> = (0..workers as u64)
                         .map(|w| {
-                            let prg = &prg;
                             scope.spawn(move || {
                                 let chunk_start = start + w * per_worker;
                                 let chunk_count =
@@ -192,7 +190,7 @@ impl EvalStrategy {
             }
             _ => {
                 let mut scratch = EvalScratch::new();
-                self.eval_range_with_scratch(key, start, count, &prg, &mut scratch)
+                self.eval_range_with_scratch(key, start, count, prg, &mut scratch)
             }
         }
     }

@@ -120,23 +120,24 @@ impl DeviceProfile {
     /// `per_thread` and `aggregate` are sustained read bandwidths in
     /// bytes/second from a streaming probe over a scan-sized working set
     /// (so on small hosts the "memory" ceiling is honestly the cache level
-    /// that working set lives in). Parameters the probe does not measure
-    /// (AES throughput, peak compute) are filled with conservative
-    /// host-class figures: 5×10⁸ AES blocks/s/thread (AES-NI class) and a
+    /// that working set lives in); `aes_blocks_per_sec_per_thread` is the
+    /// PRG's measured single-thread rate (the `hotpath` bin's batch-kernel
+    /// figure). The one parameter nothing measures, peak compute, is a
     /// nominal 16 GFLOP/s per thread (2 GHz × 8 SIMD lanes) — only the
-    /// roofline's ridge-point classification consults the latter, and dpXOR
-    /// sits orders of magnitude below it either way.
+    /// roofline's ridge-point classification consults it, and dpXOR sits
+    /// orders of magnitude below it either way.
     #[must_use]
     pub fn measured_host(
         per_thread_scan_bandwidth_bytes_per_sec: f64,
         scan_bandwidth_bytes_per_sec: f64,
+        aes_blocks_per_sec_per_thread: f64,
         worker_threads: usize,
     ) -> Self {
         DeviceProfile {
             name: format!("measured host ({worker_threads} threads)"),
             scan_bandwidth_bytes_per_sec,
             per_thread_scan_bandwidth_bytes_per_sec,
-            aes_blocks_per_sec_per_thread: 5.0e8,
+            aes_blocks_per_sec_per_thread,
             worker_threads,
             last_level_cache_bytes: 32 * 1024 * 1024,
             peak_gflops: worker_threads as f64 * 16.0,
