@@ -1,19 +1,18 @@
-//! Concurrent-session scaling: thread-per-connection vs the event loop.
+//! Concurrent-session scaling: a connection per session vs multiplexing.
 //!
-//! PR 10 replaces the service's thread-per-connection session tier with a
-//! single-threaded non-blocking readiness loop (`session-tier = events`)
-//! plus wire-level session multiplexing, so one TCP connection can carry
-//! thousands of logical sessions. This bin measures what that buys:
+//! The server has one session tier — two blocking threads per TCP
+//! connection (a reader and a reply writer), however many logical sessions
+//! the connection carries. What decides how far it scales is therefore how
+//! the *client* brings its sessions, and this bin measures both ways:
 //!
-//! * **threaded tier** — one `TcpTransport` per session; the server
-//!   spawns one OS thread per connection, so N sessions is N parked
-//!   server threads. The sweep caps this tier at a quarter of the
-//!   requested maximum: past that, thread-per-session is exactly the
-//!   scaling wall the event tier exists to remove.
-//! * **event tier** — sessions are `MuxSession`s multiplexed over one
-//!   connection per client worker; the server runs them all on one
-//!   event-loop thread, so its thread count stays constant no matter
-//!   how many sessions are open.
+//! * **connection per session** — one `TcpTransport` per session, so N
+//!   sessions are N connections and 2N server threads. The sweep caps
+//!   this series at a quarter of the requested maximum: past that, a pair
+//!   of parked threads per session is exactly the scaling wall
+//!   multiplexing exists to remove.
+//! * **multiplexed** — sessions are `MuxSession`s over one `MuxConnection`
+//!   per client worker ([`WORKERS`] connections in all), so the server's
+//!   thread count stays constant no matter how many sessions are open.
 //!
 //! For every session count the harness opens the sessions, runs one
 //! warm-up wave, then [`MEASURE_WAVES`] measured waves (a wave = every
@@ -21,10 +20,10 @@
 //! waves/s, queries/s, per-request p50/p99 latency, and the process's
 //! peak thread count from `/proc/self/status`.
 //!
-//! Acceptance (enforced at >= 2048 max sessions, exit code 2): the event
-//! tier must sustain **4x** the threaded tier's maximum session count at
-//! equal-or-better queries/s, with a peak thread count at most half the
-//! threaded tier's.
+//! Acceptance (enforced at >= 2048 max sessions, exit code 2):
+//! multiplexing must sustain **4x** the connection-per-session maximum
+//! session count at equal-or-better queries/s, with a peak thread count
+//! at most half.
 //!
 //! Results go to stdout and `BENCH_sessions.json` (plus
 //! `target/impir-results/sessions.json`); CI smoke-checks the file.
@@ -43,7 +42,6 @@ use impir_core::database::Database;
 use impir_core::engine::{EngineConfig, QueryEngine};
 use impir_core::server::cpu::{CpuPirServer, CpuServerConfig};
 use impir_core::shard::ShardedDatabase;
-use impir_core::topology::SessionTier;
 use impir_core::transport::{MuxConnection, PirTransport, TcpTransport};
 use impir_core::{PirClient, QueryShare};
 use impir_server::{PirService, ServiceConfig};
@@ -51,7 +49,7 @@ use impir_server::{PirService, ServiceConfig};
 /// Record size used throughout (the paper's 32-byte hashes).
 const RECORD_BYTES: usize = 32;
 
-/// Client worker threads driving the sessions; identical for both tiers
+/// Client worker threads driving the sessions; identical for both series
 /// so the client side cancels out of the comparison.
 const WORKERS: usize = 8;
 
@@ -90,26 +88,33 @@ fn cpu_engine(db: &Arc<Database>) -> QueryEngine<CpuPirServer> {
     .expect("cpu engine builds")
 }
 
-/// Opens `count` logical sessions for one worker: one TCP connection per
-/// session on the threaded tier, one multiplexed connection carrying all
-/// of them on the event tier. The returned connection handle must
-/// outlive the sessions.
+/// How the client brings its sessions to the server.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Carriage {
+    /// One TCP connection per session.
+    Dedicated,
+    /// Every worker's sessions multiplexed over one connection.
+    Multiplexed,
+}
+
+/// Opens `count` logical sessions for one worker. The returned connection
+/// handle (multiplexed carriage only) must outlive the sessions.
 fn open_sessions(
-    tier: SessionTier,
+    carriage: Carriage,
     addr: SocketAddr,
     count: usize,
 ) -> (Option<MuxConnection>, Vec<Box<dyn PirTransport + Send>>) {
-    match tier {
-        SessionTier::Threads => {
+    match carriage {
+        Carriage::Dedicated => {
             let sessions = (0..count)
                 .map(|_| {
-                    Box::new(TcpTransport::connect(addr).expect("threaded session connects"))
+                    Box::new(TcpTransport::connect(addr).expect("dedicated session connects"))
                         as Box<dyn PirTransport + Send>
                 })
                 .collect();
             (None, sessions)
         }
-        SessionTier::Events => {
+        Carriage::Multiplexed => {
             let conn = MuxConnection::connect(addr).expect("mux connection connects");
             let sessions = (0..count)
                 .map(|_| {
@@ -122,24 +127,17 @@ fn open_sessions(
     }
 }
 
-/// Runs one (tier, session count) configuration against a fresh service
-/// and reports its sustained rates, latency percentiles and the peak
-/// process thread count.
-fn run_tier(
-    tier: SessionTier,
+/// Runs one (carriage, session count) configuration against a fresh
+/// service and reports its sustained rates, latency percentiles and the
+/// peak process thread count.
+fn run_sweep_point(
+    carriage: Carriage,
     sessions: usize,
     db: &Arc<Database>,
     shares: &[QueryShare],
 ) -> RunStats {
-    let service = PirService::bind(
-        cpu_engine(db),
-        "127.0.0.1:0",
-        ServiceConfig {
-            session_tier: tier,
-            ..ServiceConfig::default()
-        },
-    )
-    .expect("service binds");
+    let service = PirService::bind(cpu_engine(db), "127.0.0.1:0", ServiceConfig::default())
+        .expect("service binds");
     let addr = service.addr();
 
     let workers = WORKERS.min(sessions);
@@ -156,7 +154,7 @@ fn run_tier(
             let warmed = Arc::clone(&warmed);
             let remaining = Arc::clone(&remaining);
             std::thread::spawn(move || {
-                let (_conn, mut sessions) = open_sessions(tier, addr, count);
+                let (_conn, mut sessions) = open_sessions(carriage, addr, count);
                 connected.wait();
                 for session in &mut sessions {
                     session.query_batch(&shares).expect("warm-up query");
@@ -176,8 +174,8 @@ fn run_tier(
         })
         .collect();
 
-    // Every session is open (and, on the threaded tier, every server
-    // session thread is running) once the first barrier clears — sample
+    // Every session is open (and every server connection thread is
+    // running) once the first barrier clears — sample
     // the thread count from here until the last worker finishes.
     connected.wait();
     let mut peak_threads = live_threads();
@@ -210,6 +208,34 @@ fn run_tier(
     stats
 }
 
+/// Round trips timed by [`info_rtt_us`].
+const INFO_ROUND_TRIPS: usize = 1000;
+
+/// The session tier's latency floor: the median `Info` round trip of one
+/// client alone on a fresh service, in microseconds. No engine work is
+/// involved, so this is socket + reader + dispatcher + writer — four
+/// thread wakeups, whose cost depends on where the scheduler puts the
+/// threads: on the 2-core sandbox runs land on either ≈16 µs (wakeups stay
+/// on a hot core) or ≈92 µs (cross-core, which is also what `e2e`'s
+/// `transport.info_rtt_us` reads).
+fn info_rtt_us(db: &Arc<Database>) -> f64 {
+    let service = PirService::bind(cpu_engine(db), "127.0.0.1:0", ServiceConfig::default())
+        .expect("service binds");
+    let mut transport = TcpTransport::connect(service.addr()).expect("client connects");
+    let mut samples_us: Vec<f64> = (0..INFO_ROUND_TRIPS + 100)
+        .map(|_| {
+            let started = Instant::now();
+            transport.server_info().expect("info round trip");
+            started.elapsed().as_secs_f64() * 1e6
+        })
+        .skip(100) // warm-up
+        .collect();
+    drop(transport);
+    service.shutdown();
+    samples_us.sort_by(f64::total_cmp);
+    samples_us[samples_us.len() / 2]
+}
+
 fn main() {
     let mut args = std::env::args().skip(1);
     let max_sessions: usize = args
@@ -232,10 +258,10 @@ fn main() {
         .generate_batch(&[records / 3])
         .expect("share generation");
 
-    // Thread-per-connection stops at a quarter of the sweep: past that,
-    // one parked OS thread per session is the scaling wall this bench
+    // Connection-per-session stops at a quarter of the sweep: past that,
+    // two parked OS threads per session are the scaling wall this bench
     // exists to demonstrate, not a configuration worth timing.
-    let threaded_cap = (max_sessions / 4).max(8);
+    let dedicated_cap = (max_sessions / 4).max(8);
     let mut sweep = Vec::new();
     let mut n = 64.min(max_sessions);
     while n < max_sessions {
@@ -247,42 +273,31 @@ fn main() {
     let mut report = FigureReport::new(
         "sessions",
         format!(
-            "Concurrent-session scaling to {max_sessions} sessions, thread-per-connection vs \
-             event-driven session tier, {records} records x {RECORD_BYTES} B"
+            "Concurrent-session scaling to {max_sessions} sessions, a connection per session vs \
+             {WORKERS} multiplexed connections, {records} records x {RECORD_BYTES} B"
         ),
-        "session multiplexing over a non-blocking event loop sustains 4x the concurrent \
-         sessions of thread-per-connection at equal-or-better throughput with a constant \
-         server thread count",
+        "session multiplexing sustains 4x the concurrent sessions of connection-per-session at \
+         equal-or-better throughput with a constant server thread count",
     );
-    let mut series: Vec<(SessionTier, &str, Series, Series, Series, Series)> = vec![
-        (
-            SessionTier::Threads,
-            "threaded",
-            Series::new("threaded waves/s", "waves/s"),
-            Series::new("threaded queries/s", "queries/s"),
-            Series::new("threaded p99 latency", "ms"),
-            Series::new("threaded peak threads", "threads"),
-        ),
-        (
-            SessionTier::Events,
-            "events",
-            Series::new("event waves/s", "waves/s"),
-            Series::new("event queries/s", "queries/s"),
-            Series::new("event p99 latency", "ms"),
-            Series::new("event peak threads", "threads"),
-        ),
-    ];
-
-    let mut threaded_top: Option<RunStats> = None;
-    let mut events_top: Option<RunStats> = None;
-    for (tier, label, waves, queries, p99, threads) in &mut series {
+    let mut tops: Vec<RunStats> = Vec::new();
+    for (carriage, label) in [
+        (Carriage::Dedicated, "connection-per-session"),
+        (Carriage::Multiplexed, "multiplexed"),
+    ] {
+        let mut series = [
+            Series::new(format!("{label} waves/s"), "waves/s"),
+            Series::new(format!("{label} queries/s"), "queries/s"),
+            Series::new(format!("{label} p99 latency"), "ms"),
+            Series::new(format!("{label} peak threads"), "threads"),
+        ];
+        let mut top = None;
         for &sessions in &sweep {
-            if *tier == SessionTier::Threads && sessions > threaded_cap {
+            if carriage == Carriage::Dedicated && sessions > dedicated_cap {
                 continue;
             }
-            let stats = run_tier(*tier, sessions, &db, &shares);
+            let stats = run_sweep_point(carriage, sessions, &db, &shares);
             println!(
-                "{label:>8} tier, {sessions:>5} sessions: {:>8.2} waves/s  {:>9.1} queries/s  \
+                "{label:>22}, {sessions:>5} sessions: {:>8.2} waves/s  {:>9.1} queries/s  \
                  p50 {:>7.3} ms  p99 {:>7.3} ms  peak {} thread(s)",
                 stats.waves_per_sec,
                 stats.queries_per_sec,
@@ -290,54 +305,48 @@ fn main() {
                 stats.p99_ms,
                 stats.peak_threads
             );
-            let x_label = format!("{sessions} sessions");
-            waves.push(DataPoint::new(
-                x_label.clone(),
-                sessions as f64,
+            let values = [
                 stats.waves_per_sec,
-            ));
-            queries.push(DataPoint::new(
-                x_label.clone(),
-                sessions as f64,
                 stats.queries_per_sec,
-            ));
-            p99.push(DataPoint::new(
-                x_label.clone(),
-                sessions as f64,
                 stats.p99_ms,
-            ));
-            threads.push(DataPoint::new(
-                x_label,
-                sessions as f64,
                 stats.peak_threads as f64,
-            ));
-            match *tier {
-                SessionTier::Threads => threaded_top = Some(stats),
-                SessionTier::Events => events_top = Some(stats),
+            ];
+            for (series, value) in series.iter_mut().zip(values) {
+                series.push(DataPoint::new(
+                    format!("{sessions} sessions"),
+                    sessions as f64,
+                    value,
+                ));
             }
+            top = Some(stats);
         }
+        for series in series {
+            report.push_series(series);
+        }
+        tops.push(top.expect("every series has at least one sweep point"));
     }
+    let (dedicated_top, mux_top) = (&tops[0], &tops[1]);
 
-    let threaded_top = threaded_top.expect("the threaded sweep always runs");
-    let events_top = events_top.expect("the event sweep always runs");
     report.push_note(format!(
-        "threaded tier topped out at {} sessions (sweep-capped at max/4): {:.1} queries/s, \
+        "connection-per-session topped out at {} sessions (sweep-capped at max/4): {:.1} \
+         queries/s, peak {} thread(s)",
+        dedicated_top.sessions, dedicated_top.queries_per_sec, dedicated_top.peak_threads
+    ));
+    report.push_note(format!(
+        "multiplexed sustained {} sessions ({}x) over {WORKERS} connections: {:.1} queries/s, \
          peak {} thread(s)",
-        threaded_top.sessions, threaded_top.queries_per_sec, threaded_top.peak_threads
+        mux_top.sessions,
+        mux_top.sessions / dedicated_top.sessions.max(1),
+        mux_top.queries_per_sec,
+        mux_top.peak_threads
     ));
     report.push_note(format!(
-        "event tier sustained {} sessions ({}x): {:.1} queries/s, peak {} thread(s)",
-        events_top.sessions,
-        events_top.sessions / threaded_top.sessions.max(1),
-        events_top.queries_per_sec,
-        events_top.peak_threads
+        "session-tier floor: a lone client's Info round trip takes {:.0} us (median of \
+         {INFO_ROUND_TRIPS}); the polling event loop this tier replaced in PR 13 took 1210 us \
+         and the thread-per-connection tier 92 us, against a 50 us raw loopback echo (PR 11 \
+         ledger, transport.info_rtt_us)",
+        info_rtt_us(&db)
     ));
-    for (_, _, waves, queries, p99, threads) in series {
-        report.push_series(waves);
-        report.push_series(queries);
-        report.push_series(p99);
-        report.push_series(threads);
-    }
     report.emit();
 
     match std::fs::write("BENCH_sessions.json", report.to_json()) {
@@ -348,38 +357,40 @@ fn main() {
         }
     }
 
-    // Acceptance: at full size the event tier holds 4x the sessions the
-    // threaded tier topped out at, moves queries at least as fast in
-    // aggregate, and does it with a fraction of the threads. Smoke-sized
+    // Acceptance: at full size multiplexing holds 4x the sessions that
+    // connection-per-session topped out at, moves queries at least as fast
+    // in aggregate, and does it with a fraction of the threads. Smoke-sized
     // sweeps only warn — thread counts and rates are noise down there.
-    let session_ratio = events_top.sessions as f64 / threaded_top.sessions.max(1) as f64;
+    let session_ratio = mux_top.sessions as f64 / dedicated_top.sessions.max(1) as f64;
     let mut failures = Vec::new();
     if session_ratio < 4.0 {
         failures.push(format!(
-            "event tier sustained only {:.1}x the threaded session count (need 4x)",
-            session_ratio
+            "multiplexing sustained only {session_ratio:.1}x the connection-per-session count \
+             (need 4x)"
         ));
     }
-    if events_top.queries_per_sec < threaded_top.queries_per_sec {
+    if mux_top.queries_per_sec < dedicated_top.queries_per_sec {
         failures.push(format!(
-            "event tier at {} sessions moved {:.1} queries/s, threaded at {} moved {:.1}",
-            events_top.sessions,
-            events_top.queries_per_sec,
-            threaded_top.sessions,
-            threaded_top.queries_per_sec
+            "multiplexed at {} sessions moved {:.1} queries/s, connection-per-session at {} \
+             moved {:.1}",
+            mux_top.sessions,
+            mux_top.queries_per_sec,
+            dedicated_top.sessions,
+            dedicated_top.queries_per_sec
         ));
     }
-    if live_threads() > 0 && events_top.peak_threads * 2 > threaded_top.peak_threads {
+    if live_threads() > 0 && mux_top.peak_threads * 2 > dedicated_top.peak_threads {
         failures.push(format!(
-            "event tier peaked at {} thread(s), threaded at {} — expected at most half",
-            events_top.peak_threads, threaded_top.peak_threads
+            "multiplexed peaked at {} thread(s), connection-per-session at {} — expected at \
+             most half",
+            mux_top.peak_threads, dedicated_top.peak_threads
         ));
     }
     for failure in &failures {
         eprintln!("warning: {failure}");
     }
     if !failures.is_empty() && max_sessions >= 2048 {
-        eprintln!("error: the event tier must beat thread-per-connection at >=2048 sessions");
+        eprintln!("error: multiplexing must beat connection-per-session at >=2048 sessions");
         std::process::exit(2);
     }
 }

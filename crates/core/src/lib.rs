@@ -185,7 +185,7 @@ pub use server::{BatchOutcome, PhaseBreakdown, PirServer};
 pub use shard::{ShardPlan, ShardedDatabase};
 pub use topology::{
     BackendFactory, BackendSpec, BoxedBackend, FleetEngine, FleetTopology, RebalanceMode,
-    ReplicaSpec, RetrySpec, RouterSpec, SessionTier, ShardPolicy, TransportKind,
+    ReplicaSpec, RetrySpec, RouterSpec, ShardPolicy, TransportKind,
 };
 pub use transport::{
     LocalTransport, MuxConnection, MuxSession, PirTransport, RetryPolicy, ScanResult, ServerInfo,

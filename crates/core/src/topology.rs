@@ -48,6 +48,11 @@
 //!
 //! [`FleetTopology::to_config_string`] serializes a topology back into
 //! this format such that parse ∘ serialize ∘ parse is the identity.
+//!
+//! One `[fleet]` key is accepted and ignored: `session-tier =
+//! threads|events` selected between two server session tiers until PR 13
+//! left one. Its value is still validated; it is not stored and the
+//! serializer does not write it.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -119,44 +124,6 @@ impl RebalanceMode {
         match value {
             "off" => Some(RebalanceMode::Off),
             "auto" => Some(RebalanceMode::Auto),
-            _ => None,
-        }
-    }
-}
-
-/// Which session tier a serving replica runs its client connections on
-/// (`[fleet] session-tier = threads|events`, or `impir-server
-/// --session-tier threads|events`). Responses are byte-identical across
-/// tiers; the choice only decides how many OS threads the session layer
-/// costs.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum SessionTier {
-    /// One OS thread per TCP connection (the original tier): simple
-    /// blocking I/O, but the thread count grows with the session count.
-    #[default]
-    Threads,
-    /// A single event-loop thread drives every connection with
-    /// non-blocking readiness polling; the thread count stays constant no
-    /// matter how many sessions connect.
-    Events,
-}
-
-impl std::fmt::Display for SessionTier {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            SessionTier::Threads => "threads",
-            SessionTier::Events => "events",
-        })
-    }
-}
-
-impl SessionTier {
-    /// Parses `threads` or `events` (the CLI and topology-file spelling).
-    #[must_use]
-    pub fn parse(value: &str) -> Option<Self> {
-        match value {
-            "threads" => Some(SessionTier::Threads),
-            "events" => Some(SessionTier::Events),
             _ => None,
         }
     }
@@ -334,8 +301,6 @@ pub struct FleetTopology {
     /// Per-session socket read/write timeout of the *server* side, in
     /// milliseconds (must be at least 1).
     pub io_timeout_ms: u64,
-    /// Which session tier serving replicas run (`threads` or `events`).
-    pub session_tier: SessionTier,
     /// Optional budget of **logical** sessions a serving replica accepts
     /// before it stops accepting (`None` = unlimited). Under
     /// multiplexing every session id counts, not every TCP connection —
@@ -364,7 +329,6 @@ impl FleetTopology {
             scan_kernel: KernelChoice::Auto,
             rebalance: RebalanceMode::Off,
             io_timeout_ms: 50,
-            session_tier: SessionTier::Threads,
             max_sessions: None,
             retry: RetrySpec::default(),
             replicas: Vec::new(),
@@ -423,7 +387,6 @@ impl FleetTopology {
         let _ = writeln!(out, "scan-kernel = {}", self.scan_kernel);
         let _ = writeln!(out, "rebalance = {}", self.rebalance);
         let _ = writeln!(out, "io-timeout-ms = {}", self.io_timeout_ms);
-        let _ = writeln!(out, "session-tier = {}", self.session_tier);
         // `max-sessions` has no "unlimited" spelling — absence is the
         // canonical form, keeping parse ∘ serialize ∘ parse the identity.
         if let Some(max_sessions) = self.max_sessions {
@@ -842,7 +805,6 @@ struct Parser {
     scan_kernel: Option<KernelChoice>,
     rebalance: Option<RebalanceMode>,
     io_timeout_ms: Option<u64>,
-    session_tier: Option<SessionTier>,
     max_sessions: Option<usize>,
     retry: RetrySpec,
     replicas: Vec<ReplicaBuilder>,
@@ -873,7 +835,6 @@ impl Parser {
             scan_kernel: None,
             rebalance: None,
             io_timeout_ms: None,
-            session_tier: None,
             max_sessions: None,
             retry: RetrySpec::default(),
             replicas: Vec::new(),
@@ -1027,7 +988,17 @@ impl Parser {
             "scan-kernel" => self.scan_kernel = Some(parse_kernel(value, line_no)?),
             "rebalance" => self.rebalance = Some(parse_rebalance(value, line_no)?),
             "io-timeout-ms" => self.io_timeout_ms = Some(parse_u64(key, value, line_no)?),
-            "session-tier" => self.session_tier = Some(parse_session_tier(value, line_no)?),
+            // Accepted and ignored since PR 13 (one session tier): fleet
+            // files written for the two-tier server keep loading, a value
+            // that never was a tier is still an error, nothing is stored.
+            "session-tier" => {
+                if !matches!(value, "threads" | "events") {
+                    return line_error(
+                        line_no,
+                        format!("session-tier expects `threads` or `events`, got `{value}`"),
+                    );
+                }
+            }
             "max-sessions" => {
                 let sessions = parse_usize(key, value, line_no)?;
                 if sessions == 0 {
@@ -1164,7 +1135,6 @@ impl Parser {
             scan_kernel: self.scan_kernel.unwrap_or(KernelChoice::Auto),
             rebalance: self.rebalance.unwrap_or_default(),
             io_timeout_ms: self.io_timeout_ms.unwrap_or(50),
-            session_tier: self.session_tier.unwrap_or_default(),
             max_sessions: self.max_sessions,
             retry: self.retry,
             replicas,
@@ -1248,14 +1218,6 @@ fn parse_autoshard(value: &str, line_no: usize) -> Result<ShardPolicy, PirError>
     }
 }
 
-fn parse_session_tier(value: &str, line_no: usize) -> Result<SessionTier, PirError> {
-    SessionTier::parse(value).ok_or_else(|| PirError::Config {
-        reason: format!(
-            "line {line_no}: session-tier expects `threads` or `events`, got `{value}`"
-        ),
-    })
-}
-
 fn parse_rebalance(value: &str, line_no: usize) -> Result<RebalanceMode, PirError> {
     RebalanceMode::parse(value).ok_or_else(|| PirError::Config {
         reason: format!("line {line_no}: rebalance expects `auto` or `off`, got `{value}`"),
@@ -1334,7 +1296,6 @@ max-lag-epochs = 1
 ";
         let parsed = FleetTopology::parse(input).expect("parses");
         assert_eq!(parsed.rebalance, RebalanceMode::Auto);
-        assert_eq!(parsed.session_tier, SessionTier::Events);
         assert_eq!(parsed.max_sessions, Some(128));
         let reparsed =
             FleetTopology::parse(&parsed.to_config_string()).expect("serialized form parses");
@@ -1349,7 +1310,7 @@ max-lag-epochs = 1
     }
 
     #[test]
-    fn rejects_unknown_session_tiers_and_zero_session_budgets() {
+    fn rejects_unknown_tier_values_and_zero_session_budgets() {
         let err = FleetTopology::parse("[fleet]\nrecords = 4\nsession-tier = fibers\n")
             .expect_err("bad session-tier value must fail");
         assert!(err.to_string().contains("session-tier"), "{err}");
@@ -1368,19 +1329,23 @@ max-lag-epochs = 1
     }
 
     #[test]
-    fn session_tier_defaults_to_threads_and_round_trips() {
-        let topology = FleetTopology::parse(minimal()).expect("parses");
-        assert_eq!(topology.session_tier, SessionTier::Threads);
+    fn the_tier_key_is_accepted_and_ignored() {
+        let with_key = minimal().replace("records = 64\n", "records = 64\nsession-tier = events\n");
+        let topology = FleetTopology::parse(&with_key).expect("parses");
+        assert_eq!(topology, FleetTopology::parse(minimal()).expect("parses"));
         assert_eq!(topology.max_sessions, None);
-        // The serializer writes the resolved tier but omits the absent
-        // session budget, so the round trip stays the identity.
+        // Neither the ignored key nor the absent session budget is
+        // written, so the round trip stays the identity.
         let serialized = topology.to_config_string();
-        assert!(serialized.contains("session-tier = threads"));
+        assert!(!serialized.contains("session-tier"));
         assert!(!serialized.contains("max-sessions"));
         assert_eq!(
             FleetTopology::parse(&serialized).expect("reparses"),
             topology
         );
+        // Ignored is not unchecked: the key still may appear only once.
+        let twice = with_key.replace("events\n", "events\nsession-tier = threads\n");
+        assert!(FleetTopology::parse(&twice).is_err());
     }
 
     #[test]

@@ -16,7 +16,7 @@ use std::collections::HashMap;
 use impir_core::dpxor::KernelChoice;
 use impir_core::engine::DEFAULT_JOURNAL_BATCHES;
 use impir_core::topology::{
-    BackendSpec, FleetTopology, RebalanceMode, ReplicaSpec, SessionTier, ShardPolicy, TransportKind,
+    BackendSpec, FleetTopology, RebalanceMode, ReplicaSpec, ShardPolicy, TransportKind,
 };
 use impir_core::{PirError, ShardPlan};
 
@@ -27,7 +27,7 @@ pub const USAGE: &str = "usage:
                [--backend pim|cpu] [--scan-kernel auto|scalar|wide|unrolled]
                [--dpus D] [--clusters C] [--max-sessions N]
                [--journal-batches N] [--io-timeout-ms T]
-               [--session-tier threads|events] [--rebalance auto|off]
+               [--rebalance auto|off]
   impir-server --config FILE [--replica NAME] [--max-sessions N]
   impir-server --config FILE --router
   impir-server --config FILE --check
@@ -48,13 +48,6 @@ pub const USAGE: &str = "usage:
                        a lagging replica catches up over the wire
                        (default 64; 0 disables the journal)
   --io-timeout-ms T    per-session socket read/write timeout (default 50)
-
-  --session-tier S  S = threads  one session thread per TCP connection
-                                 (default)
-                    S = events   one non-blocking readiness loop drives
-                                 every connection: constant thread count,
-                                 typed Overloaded load shedding when the
-                                 dispatcher queue backs up
 
   --rebalance M   M = auto  migrate records between shards live when the
                             measured per-shard scan skew of a query wave
@@ -80,7 +73,7 @@ pub const USAGE: &str = "usage:
 /// loudly: silently falling back to defaults would start a server whose
 /// replica does not match its peers', and every client query would then
 /// fail the geometry check.
-pub const KNOWN_FLAGS: [&str; 19] = [
+pub const KNOWN_FLAGS: [&str; 18] = [
     "listen",
     "records",
     "record-bytes",
@@ -94,7 +87,6 @@ pub const KNOWN_FLAGS: [&str; 19] = [
     "max-sessions",
     "journal-batches",
     "io-timeout-ms",
-    "session-tier",
     "rebalance",
     "config",
     "replica",
@@ -242,12 +234,6 @@ pub fn topology_from_flags(options: &HashMap<String, String>) -> Result<FleetTop
         Some(value) => RebalanceMode::parse(value)
             .ok_or_else(|| format!("--rebalance expects `auto` or `off`, got `{value}`"))?,
     };
-    let session_tier = match options.get("session-tier") {
-        None => SessionTier::default(),
-        Some(value) => SessionTier::parse(value).ok_or_else(|| {
-            format!("--session-tier expects `threads` or `events`, got `{value}`")
-        })?,
-    };
 
     let sharding = match options.get("autoshard").map(String::as_str) {
         None => {
@@ -303,7 +289,6 @@ pub fn topology_from_flags(options: &HashMap<String, String>) -> Result<FleetTop
     topology.scan_kernel = scan_kernel;
     topology.rebalance = rebalance;
     topology.io_timeout_ms = io_timeout_ms;
-    topology.session_tier = session_tier;
     topology.replicas.push(ReplicaSpec {
         name: FLAG_REPLICA_NAME.to_string(),
         transport: TransportKind::Tcp,
@@ -352,6 +337,9 @@ mod tests {
     fn rejects_unknown_flags_and_bare_tokens() {
         let err = parse_options(&args(&["--recordz", "64"])).unwrap_err();
         assert!(err.contains("unknown flag --recordz"), "{err}");
+        // Gone with the second session tier in PR 13; not kept as a no-op.
+        let err = parse_options(&args(&["--session-tier", "events"])).unwrap_err();
+        assert!(err.contains("unknown flag --session-tier"), "{err}");
         let err = parse_options(&args(&["records"])).unwrap_err();
         assert!(err.contains("expected a --flag"), "{err}");
         let err = parse_options(&args(&["--records"])).unwrap_err();
@@ -420,19 +408,6 @@ mod tests {
         assert!(topology_from_flags(&options)
             .unwrap_err()
             .contains("--rebalance expects"));
-    }
-
-    #[test]
-    fn session_tier_flag_desugars_into_the_topology() {
-        let topology = topology_from_flags(&HashMap::new()).unwrap();
-        assert_eq!(topology.session_tier, SessionTier::Threads);
-        let options = parse_options(&args(&["--session-tier", "events"])).unwrap();
-        let topology = topology_from_flags(&options).unwrap();
-        assert_eq!(topology.session_tier, SessionTier::Events);
-        let options = parse_options(&args(&["--session-tier", "fibers"])).unwrap();
-        assert!(topology_from_flags(&options)
-            .unwrap_err()
-            .contains("--session-tier expects"));
     }
 
     #[test]

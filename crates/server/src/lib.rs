@@ -3,33 +3,29 @@
 //!
 //! [`PirService`] owns the server side of the service layer:
 //!
-//! * a **session tier** turns TCP connections into request frames. Two
-//!   interchangeable tiers exist, selected by
-//!   [`ServiceConfig::session_tier`] (topology key `session-tier`):
-//!   the **threaded** tier accepts connections off a listener and spawns a
-//!   session thread per client; the **event** tier (see [`events`],
-//!   `session-tier = events`) drives *every* connection from one
-//!   non-blocking readiness loop — thread count stays constant no matter
-//!   how many sessions connect. Both tiers speak the same
-//!   [`impir_core::wire`] format (handshake, then request/response
-//!   frames) and produce byte-identical replies;
-//! * both tiers understand **session multiplexing**
-//!   ([`impir_core::wire::Frame::Mux`]): many logical sessions share one
-//!   TCP connection, each request/reply pair tagged with a session id.
-//!   Plain frames belong to the connection's root session, so v1 clients
-//!   work unchanged;
+//! * one **session tier** turns TCP connections into request frames, on
+//!   blocking I/O: per connection a reader thread parses and validates
+//!   [`impir_core::wire`] frames (handshake first, then requests) and
+//!   forwards them without waiting for their answers, and a writer thread
+//!   sends the replies back in request order (see the `session` module's
+//!   docs). Two threads per *connection*, however many sessions it
+//!   carries;
+//! * **session multiplexing** ([`impir_core::wire::Frame::Mux`]): many
+//!   logical sessions share one TCP connection, each request/reply pair
+//!   tagged with a session id, their requests pipelined. Plain frames
+//!   belong to the connection's root session, so v1 clients work
+//!   unchanged;
 //! * sessions forward their requests to one **dispatcher thread** that
 //!   owns the engine. Query batches from *concurrently active sessions*
 //!   are coalesced into one engine wave — the merged batch flows through
 //!   the engine's existing bounded admission queue, so cross-session
 //!   batching inherits the §3.4 pipeline (and its backpressure) instead
 //!   of re-implementing it. The dispatcher's own request queue is bounded
-//!   ([`ServiceConfig::admission_capacity`]): threaded sessions block on
-//!   it (natural backpressure), while the event tier never blocks — a
-//!   full queue makes it **shed load** with a typed
-//!   [`impir_core::wire::Frame::Overloaded`] refusal and pause reading
-//!   sockets until the queue drains, so overload never buffers without
-//!   bound;
+//!   ([`ServiceConfig::admission_capacity`]) and sessions never block on
+//!   it: a full queue **sheds load** with a typed
+//!   [`impir_core::wire::Frame::Overloaded`] refusal, and a connection
+//!   whose peer stops reading its replies stops being read, so overload
+//!   never buffers without bound;
 //! * updates and queries are serialised by the dispatcher, and every
 //!   response batch is tagged with the database epoch it executed
 //!   against, so clients can detect update/query interleavings that
@@ -41,6 +37,17 @@
 //!   replicas replay like any update batch;
 //! * [`PirService::shutdown`] stops accepting, wakes idle sessions,
 //!   drains the dispatcher and joins every thread — a graceful stop.
+//!
+//! Until PR 13 there were two session tiers behind a `session-tier` knob:
+//! a thread per connection that served one request at a time, and a
+//! single non-blocking loop over every socket. Neither could be deleted
+//! in favour of the other — the loop could only *poll* (std has no
+//! `poll`/`epoll` and the crate forbids `unsafe`), which cost a lone
+//! client 1.2 ms per round trip against 0.09 ms, while the thread per
+//! connection halved multiplexed throughput because it never had two
+//! requests in flight. What made the loop scale was `Frame::Mux`, not
+//! readiness polling; the one tier above keeps that, the typed shedding
+//! and the logical-session budget, on kernel wakeups.
 //!
 //! A session's shares are validated against the engine's DPF domain
 //! *before* they join a merged wave: one client with stale geometry gets
@@ -57,12 +64,11 @@
 #![warn(missing_docs)]
 
 pub mod cli;
-pub mod events;
 pub mod router;
+mod session;
 
-use std::io::Read;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -72,13 +78,13 @@ use impir_core::database::Database;
 use impir_core::engine::QueryEngine;
 use impir_core::rebalance::{RebalanceConfig, RebalancePlanner};
 use impir_core::server::phases::PhaseBreakdown;
-use impir_core::topology::{FleetTopology, RebalanceMode, SessionTier};
+use impir_core::topology::{FleetTopology, RebalanceMode};
 use impir_core::transport::{EpochInfo, ScanResult, ServerInfo};
-use impir_core::wire::{
-    update_batch_frame_bytes, Frame, FRAME_HEADER_BYTES, MAX_FRAME_BYTES, WIRE_VERSION,
-};
+use impir_core::wire::{update_batch_frame_bytes, Frame, FRAME_HEADER_BYTES, MAX_FRAME_BYTES};
 use impir_core::{PirError, QueryShare, ServerResponse, UpdateBatch};
 use impir_dpf::SelectorVector;
+
+use session::{accept_connections, serve_connection, wake_acceptor, SessionBudget, SessionContext};
 
 /// Configuration of a [`PirService`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -104,17 +110,9 @@ pub struct ServiceConfig {
     /// *multiplexed* session opened past the budget is refused with an
     /// error frame while its connection stays usable.
     pub max_sessions: Option<usize>,
-    /// Which session tier turns connections into requests:
-    /// [`SessionTier::Threads`] spawns one session thread per TCP
-    /// connection, [`SessionTier::Events`] drives every connection from
-    /// one non-blocking readiness loop (constant thread count, load
-    /// shedding under overload). The topology key `session-tier` sets
-    /// this.
-    pub session_tier: SessionTier,
     /// Capacity of the dispatcher's bounded admission queue, in requests.
-    /// Threaded sessions block on a full queue (backpressure through the
-    /// socket); the event tier sheds instead — see
-    /// [`impir_core::wire::Frame::Overloaded`].
+    /// A request that finds it full is shed — refused with a typed
+    /// [`impir_core::wire::Frame::Overloaded`] — never blocked on.
     pub admission_capacity: usize,
     /// Per-session socket read/write timeout: how long a blocked session
     /// read or write sleeps before waking to re-check the shutdown flag
@@ -137,7 +135,6 @@ impl Default for ServiceConfig {
         ServiceConfig {
             coalesce_limit: 16,
             max_sessions: None,
-            session_tier: SessionTier::default(),
             admission_capacity: 64,
             io_timeout: Duration::from_millis(50),
             max_replay_frame_bytes: MAX_FRAME_BYTES,
@@ -225,14 +222,12 @@ impl<S> RebalancePolicy<S> {
 }
 
 /// The [`ServiceConfig`] a topology implies: its `io-timeout-ms` becomes
-/// the per-session socket timeout, `session-tier` picks the session tier
-/// and `max-sessions` the logical-session budget; everything else keeps
-/// its default.
+/// the per-session socket timeout and `max-sessions` the logical-session
+/// budget; everything else keeps its default.
 #[must_use]
 pub fn service_config_for(topology: &FleetTopology) -> ServiceConfig {
     ServiceConfig {
         io_timeout: topology.service_io_timeout(),
-        session_tier: topology.session_tier,
         max_sessions: topology.max_sessions,
         ..ServiceConfig::default()
     }
@@ -286,11 +281,6 @@ pub fn build_service_with(
     PirService::bind_with_rebalancer(engine, listen, config, rebalancer)
 }
 
-/// How often the blocked *accept* loop wakes up to check the shutdown
-/// flag. Session reads/writes wake on [`ServiceConfig::io_timeout`]
-/// instead.
-const POLL_INTERVAL: Duration = Duration::from_millis(50);
-
 /// Smallest accepted [`ServiceConfig::max_replay_frame_bytes`]: room for
 /// the frame tag, the batch-count prefix, and at least one tiny batch.
 pub const MIN_REPLAY_FRAME_BYTES: usize = 64;
@@ -330,7 +320,7 @@ pub(crate) enum ServiceRequest {
     },
 }
 
-/// A running PIR server: accept loop, session threads and the dispatcher
+/// A running PIR server: accept loop, connection threads and the dispatcher
 /// that owns the engine. Dropping the handle shuts the service down.
 #[derive(Debug)]
 pub struct PirService {
@@ -388,7 +378,7 @@ impl PirService {
     ///
     /// Returns [`PirError::Config`] for an invalid `config` and
     /// [`PirError::Protocol`] if the listener cannot be inspected or made
-    /// non-blocking.
+    /// blocking.
     pub fn serve<S>(
         engine: QueryEngine<S>,
         listener: TcpListener,
@@ -418,16 +408,16 @@ impl PirService {
         let addr = listener.local_addr().map_err(|err| PirError::Protocol {
             reason: format!("reading listener address: {err}"),
         })?;
-        // Non-blocking accept so the loop can observe the shutdown flag.
+        // The acceptor blocks in `accept`; `stop()` wakes it by connecting.
         listener
-            .set_nonblocking(true)
+            .set_nonblocking(false)
             .map_err(|err| PirError::Protocol {
                 reason: format!("configuring listener: {err}"),
             })?;
         let shutdown = Arc::new(AtomicBool::new(false));
-        // Bounded admission: threaded sessions block on a full queue, the
-        // event tier sheds with an `Overloaded` refusal instead — either
-        // way overload never buffers requests without bound.
+        // Bounded admission: a request that finds the queue full is shed
+        // with an `Overloaded` refusal, so overload never buffers requests
+        // without bound.
         let (requests, request_rx) = bounded::<ServiceRequest>(config.admission_capacity);
         let plan = engine.plan().clone();
 
@@ -436,12 +426,22 @@ impl PirService {
             dispatcher_loop(engine, &request_rx, coalesce_limit, rebalancer);
         });
 
-        let accept_shutdown = Arc::clone(&shutdown);
-        let accept_handle = std::thread::spawn(move || match config.session_tier {
-            SessionTier::Threads => accept_loop(&listener, &requests, &accept_shutdown, config),
-            SessionTier::Events => {
-                events::event_loop(&listener, &requests, &accept_shutdown, config);
-            }
+        // The context owns the master request sender and drops with the
+        // accept thread, so the dispatcher ends exactly when the acceptor
+        // and the last connection have.
+        let context = Arc::new(SessionContext {
+            requests,
+            shutdown: Arc::clone(&shutdown),
+            budget: SessionBudget::new(config.max_sessions, addr),
+            config,
+        });
+        let accept_handle = std::thread::spawn(move || {
+            let serving = Arc::clone(&context);
+            accept_connections(
+                &listener,
+                || context.shutdown.load(Ordering::SeqCst) || context.budget.spent(),
+                move |stream| serve_connection(stream, &serving),
+            );
         });
 
         Ok(PirService {
@@ -474,10 +474,10 @@ impl PirService {
         self.stop();
     }
 
-    /// Waits for the service to end **on its own**: the accept loop exits
+    /// Waits for the service to end **on its own**: the accept loop stops
     /// once its session budget ([`ServiceConfig::max_sessions`]) is spent
-    /// and every accepted session has disconnected, after which the
-    /// dispatcher drains and this returns. Without a session budget this
+    /// and exits when every accepted connection has disconnected, after
+    /// which the dispatcher drains and this returns. Without a session budget this
     /// blocks until the listener fails (i.e. effectively forever).
     pub fn join(mut self) {
         if let Some(handle) = self.accept_handle.take() {
@@ -491,6 +491,7 @@ impl PirService {
     fn stop(&mut self) {
         self.shutdown.store(true, Ordering::SeqCst);
         if let Some(handle) = self.accept_handle.take() {
+            wake_acceptor(self.addr);
             let _ = handle.join();
         }
         if let Some(handle) = self.dispatcher_handle.take() {
@@ -502,69 +503,6 @@ impl PirService {
 impl Drop for PirService {
     fn drop(&mut self) {
         self.stop();
-    }
-}
-
-/// Accepts connections until shutdown (or the session budget is spent),
-/// then joins every session it spawned. Each session gets its own clone of
-/// the request sender; the master clone drops with this function, so the
-/// dispatcher ends exactly when the last session has.
-fn accept_loop(
-    listener: &TcpListener,
-    requests: &Sender<ServiceRequest>,
-    shutdown: &Arc<AtomicBool>,
-    config: ServiceConfig,
-) {
-    let mut sessions: Vec<std::thread::JoinHandle<()>> = Vec::new();
-    // The session budget counts *logical* sessions — handshaken root
-    // sessions plus multiplexed session ids — never raw TCP connections:
-    // a port scanner or health-check probe that connects and leaves must
-    // not consume a `--max-sessions 1` server's budget.
-    let handshaken = Arc::new(AtomicUsize::new(0));
-    while !shutdown.load(Ordering::SeqCst) {
-        if let Some(limit) = config.max_sessions {
-            if handshaken.load(Ordering::SeqCst) >= limit {
-                break;
-            }
-        }
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let session_requests = requests.clone();
-                let session_shutdown = Arc::clone(shutdown);
-                let session_handshaken = Arc::clone(&handshaken);
-                sessions.push(std::thread::spawn(move || {
-                    session_loop(
-                        stream,
-                        &session_requests,
-                        &session_shutdown,
-                        &session_handshaken,
-                        config,
-                    );
-                }));
-            }
-            Err(err)
-                if err.kind() == std::io::ErrorKind::WouldBlock
-                    || err.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                std::thread::sleep(POLL_INTERVAL);
-            }
-            Err(_) => break,
-        }
-        // Reap finished sessions as we go: a serve-until-killed server
-        // would otherwise accumulate one dead JoinHandle per connection
-        // forever.
-        let mut still_running = Vec::with_capacity(sessions.len());
-        for session in sessions {
-            if session.is_finished() {
-                let _ = session.join();
-            } else {
-                still_running.push(session);
-            }
-        }
-        sessions = still_running;
-    }
-    for session in sessions {
-        let _ = session.join();
     }
 }
 
@@ -755,414 +693,9 @@ fn execute_wave<S: UpdatableBackend + Send + Sync>(
     }
 }
 
-/// What polling reads report besides bytes.
-enum ReadOutcome {
-    /// The buffer was filled.
-    Filled,
-    /// The peer closed (or shutdown was requested) cleanly between frames.
-    Closed,
-}
-
-/// Fills `buf` from `stream`, waking every [`ServiceConfig::io_timeout`]
-/// (the stream's read timeout) to check the shutdown flag. `idle` reads
-/// (waiting for the next frame) may end with
-/// [`ReadOutcome::Closed`] on a clean disconnect or shutdown; mid-frame
-/// reads treat both as hard errors, because the framing is already
-/// half-consumed.
-fn read_full(
-    stream: &mut TcpStream,
-    buf: &mut [u8],
-    shutdown: &AtomicBool,
-    idle: bool,
-) -> Result<ReadOutcome, PirError> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        if shutdown.load(Ordering::SeqCst) {
-            if idle && filled == 0 {
-                return Ok(ReadOutcome::Closed);
-            }
-            return Err(PirError::Protocol {
-                reason: "server shutting down".to_string(),
-            });
-        }
-        match stream.read(&mut buf[filled..]) {
-            Ok(0) => {
-                if idle && filled == 0 {
-                    return Ok(ReadOutcome::Closed);
-                }
-                return Err(PirError::Protocol {
-                    reason: "peer closed the connection mid-frame".to_string(),
-                });
-            }
-            Ok(read) => filled += read,
-            Err(err)
-                if err.kind() == std::io::ErrorKind::WouldBlock
-                    || err.kind() == std::io::ErrorKind::TimedOut
-                    || err.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(err) => {
-                return Err(PirError::Protocol {
-                    reason: format!("reading from session: {err}"),
-                })
-            }
-        }
-    }
-    Ok(ReadOutcome::Filled)
-}
-
-/// Writes all of `bytes`, waking every [`ServiceConfig::io_timeout`] (the
-/// stream's write timeout) to check the shutdown flag — a client that stops
-/// reading its socket cannot pin this session thread (and with it
-/// [`PirService::shutdown`]) in a blocked `write` forever.
-fn write_full(stream: &mut TcpStream, bytes: &[u8], shutdown: &AtomicBool) -> Result<(), PirError> {
-    use std::io::Write;
-    let mut written = 0;
-    while written < bytes.len() {
-        match stream.write(&bytes[written..]) {
-            Ok(0) => return Err(protocol("peer stopped accepting bytes mid-frame")),
-            Ok(sent) => written += sent,
-            Err(err)
-                if err.kind() == std::io::ErrorKind::WouldBlock
-                    || err.kind() == std::io::ErrorKind::TimedOut
-                    || err.kind() == std::io::ErrorKind::Interrupted =>
-            {
-                // Only abandon the write when the service is stopping AND
-                // the socket refuses bytes: a writable socket drains its
-                // already-computed reply through shutdown (graceful stop),
-                // while a client that stopped reading cannot pin this
-                // thread past one poll interval.
-                if shutdown.load(Ordering::SeqCst) {
-                    return Err(protocol("server shutting down"));
-                }
-            }
-            Err(err) => {
-                return Err(PirError::Protocol {
-                    reason: format!("writing to session: {err}"),
-                })
-            }
-        }
-    }
-    let _ = stream.flush();
-    Ok(())
-}
-
-/// Encodes and sends one frame through [`write_full`].
-pub(crate) fn write_session_frame(
-    stream: &mut TcpStream,
-    frame: &Frame,
-    shutdown: &AtomicBool,
-) -> Result<(), PirError> {
-    let encoded = frame.encode()?;
-    write_full(stream, &encoded, shutdown)
-}
-
-/// Reads one frame, polling for shutdown between (not within) frames.
-/// `Ok(None)` means the session ended cleanly (disconnect or shutdown).
-pub(crate) fn read_session_frame(
-    stream: &mut TcpStream,
-    shutdown: &AtomicBool,
-) -> Result<Option<Frame>, PirError> {
-    let mut prefix = [0u8; 4];
-    match read_full(stream, &mut prefix, shutdown, true)? {
-        ReadOutcome::Closed => return Ok(None),
-        ReadOutcome::Filled => {}
-    }
-    let length = u32::from_le_bytes(prefix) as usize;
-    if length == 0 || length > MAX_FRAME_BYTES {
-        return Err(PirError::Protocol {
-            reason: format!("frame of {length} bytes is outside the accepted range"),
-        });
-    }
-    let mut full = vec![0u8; 4 + length];
-    full[..4].copy_from_slice(&prefix);
-    match read_full(stream, &mut full[4..], shutdown, false)? {
-        ReadOutcome::Closed => unreachable!("mid-frame reads never report Closed"),
-        ReadOutcome::Filled => {}
-    }
-    Frame::decode(&full).map(Some)
-}
-
-/// One client connection: handshake, then request frames until the client
-/// hangs up, says goodbye, violates the protocol, or the service stops.
-/// Multiplexed frames ([`Frame::Mux`]) carry requests for *logical*
-/// sessions sharing this connection: the inner request is handled exactly
-/// like a plain one and its reply re-wrapped with the same session id.
-fn session_loop(
-    mut stream: TcpStream,
-    requests: &Sender<ServiceRequest>,
-    shutdown: &AtomicBool,
-    handshaken: &AtomicUsize,
-    config: ServiceConfig,
-) {
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(config.io_timeout));
-    let _ = stream.set_write_timeout(Some(config.io_timeout));
-    if handshake(&mut stream, requests, shutdown).is_err() {
-        return;
-    }
-    handshaken.fetch_add(1, Ordering::SeqCst);
-    let mut mux_sessions: std::collections::HashSet<u32> = std::collections::HashSet::new();
-    loop {
-        let frame = match read_session_frame(&mut stream, shutdown) {
-            Ok(Some(frame)) => frame,
-            Ok(None) => return, // clean close
-            Err(err) => {
-                // Framing is broken: report if possible, then drop the
-                // connection.
-                let _ = write_session_frame(&mut stream, &error_frame(&err), shutdown);
-                return;
-            }
-        };
-        let (session, frame) = match frame {
-            Frame::Mux { session, frame } => {
-                if session == 0 {
-                    // Session id 0 *is* the root session — it speaks plain
-                    // frames; a Mux wrapper claiming it is hostile input.
-                    let _ = write_session_frame(
-                        &mut stream,
-                        &error_frame(&protocol(
-                            "session id 0 is reserved for the connection's root session",
-                        )),
-                        shutdown,
-                    );
-                    return;
-                }
-                if !mux_sessions.contains(&session) {
-                    if !claim_logical_session(handshaken, config.max_sessions) {
-                        // The budget refusal is scoped to the new logical
-                        // session: its co-tenants on this connection keep
-                        // working.
-                        let refusal = Frame::Mux {
-                            session,
-                            frame: Box::new(error_frame(&protocol(
-                                "the server's logical session budget is exhausted",
-                            ))),
-                        };
-                        if write_session_frame(&mut stream, &refusal, shutdown).is_err() {
-                            return;
-                        }
-                        continue;
-                    }
-                    mux_sessions.insert(session);
-                }
-                (Some(session), *frame)
-            }
-            plain => (None, plain),
-        };
-        let reply = match blocking_reply(requests, frame, config.max_replay_frame_bytes) {
-            SessionReply::Reply(reply) => reply,
-            SessionReply::Violation(reply) => {
-                let _ = write_session_frame(&mut stream, &wrap(session, reply), shutdown);
-                return;
-            }
-            SessionReply::End => match session {
-                // A muxed Goodbye closes only that logical session; the
-                // connection (and its other sessions) lives on.
-                Some(_) => continue,
-                None => return,
-            },
-        };
-        if write_session_frame(&mut stream, &wrap(session, reply), shutdown).is_err() {
-            return; // the write side failed; nothing more we can do
-        }
-    }
-}
-
-/// Re-wraps a reply for the logical session its request arrived on: plain
-/// for the root session, muxed with the same id otherwise.
-fn wrap(session: Option<u32>, reply: Frame) -> Frame {
-    match session {
-        None => reply,
-        Some(session) => Frame::Mux {
-            session,
-            frame: Box::new(reply),
-        },
-    }
-}
-
-/// Claims one logical session from the budget. Unlike the root-session
-/// count at handshake (which may overshoot, documented on
-/// [`ServiceConfig::max_sessions`]), multiplexed sessions are claimed
-/// exactly: past the budget the claim fails and the session is refused.
-pub(crate) fn claim_logical_session(opened: &AtomicUsize, limit: Option<usize>) -> bool {
-    match limit {
-        None => {
-            opened.fetch_add(1, Ordering::SeqCst);
-            true
-        }
-        Some(limit) => opened
-            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| {
-                if n < limit {
-                    Some(n + 1)
-                } else {
-                    None
-                }
-            })
-            .is_ok(),
-    }
-}
-
-/// Expects the client's `Hello`, answers `HelloAck` (or an `Error` frame
-/// on version/magic mismatch).
-fn handshake(
-    stream: &mut TcpStream,
-    requests: &Sender<ServiceRequest>,
-    shutdown: &AtomicBool,
-) -> Result<(), PirError> {
-    let frame = match read_session_frame(stream, shutdown)? {
-        Some(frame) => frame,
-        None => return Err(protocol("client left before the handshake")),
-    };
-    match frame {
-        Frame::Hello { version } if version == WIRE_VERSION => {
-            let info = request_info(requests)?;
-            write_session_frame(
-                stream,
-                &Frame::HelloAck {
-                    version: WIRE_VERSION,
-                    info,
-                },
-                shutdown,
-            )?;
-            Ok(())
-        }
-        Frame::Hello { version } => {
-            let _ = write_session_frame(
-                stream,
-                &Frame::Error {
-                    message: format!(
-                        "server speaks wire version {WIRE_VERSION}, client sent {version}"
-                    ),
-                },
-                shutdown,
-            );
-            Err(protocol("handshake version mismatch"))
-        }
-        other => {
-            let _ = write_session_frame(
-                stream,
-                &Frame::Error {
-                    message: format!("expected Hello to open the session, got {}", other.name()),
-                },
-                shutdown,
-            );
-            Err(protocol("handshake violation"))
-        }
-    }
-}
-
 pub(crate) fn protocol(reason: &str) -> PirError {
     PirError::Protocol {
         reason: reason.to_string(),
-    }
-}
-
-fn request_info(requests: &Sender<ServiceRequest>) -> Result<ServerInfo, PirError> {
-    let (reply, replies) = bounded(1);
-    requests
-        .send(ServiceRequest::Info { reply })
-        .map_err(|_| protocol("service dispatcher is gone"))?;
-    replies
-        .recv()
-        .map_err(|_| protocol("service dispatcher is gone"))
-}
-
-/// The outcome of handling one request frame on a session.
-pub(crate) enum SessionReply {
-    /// Send this reply; the session continues.
-    Reply(Frame),
-    /// Send this reply, then close the connection: the client violated
-    /// the protocol (a `Hello` mid-session, a server-only frame).
-    Violation(Frame),
-    /// The client said `Goodbye`: close the session, nothing to send.
-    End,
-}
-
-/// Handles one request frame on the threaded tier: forwards it to the
-/// dispatcher, **blocks** for the reply and returns the reply frame. The
-/// event tier handles the same frames without blocking (see [`events`])
-/// but builds its replies from the same `*_frame` constructors below, so
-/// both tiers answer byte-identically.
-pub(crate) fn blocking_reply(
-    requests: &Sender<ServiceRequest>,
-    frame: Frame,
-    max_replay_frame_bytes: usize,
-) -> SessionReply {
-    match frame {
-        Frame::QueryBatch { shares } => {
-            let (reply, replies) = bounded(1);
-            if requests
-                .send(ServiceRequest::Query { shares, reply })
-                .is_err()
-            {
-                return SessionReply::Reply(dispatcher_gone_frame());
-            }
-            SessionReply::Reply(match replies.recv() {
-                Ok(result) => query_reply_frame(result),
-                Err(_) => dispatcher_gone_frame(),
-            })
-        }
-        Frame::UpdateBatch { updates } => {
-            let (reply, replies) = bounded(1);
-            if requests
-                .send(ServiceRequest::Update { updates, reply })
-                .is_err()
-            {
-                return SessionReply::Reply(dispatcher_gone_frame());
-            }
-            SessionReply::Reply(match replies.recv() {
-                Ok(result) => update_ack_frame(result),
-                Err(_) => dispatcher_gone_frame(),
-            })
-        }
-        Frame::SelectorScan { selector } => {
-            let (reply, replies) = bounded(1);
-            if requests
-                .send(ServiceRequest::Scan { selector, reply })
-                .is_err()
-            {
-                return SessionReply::Reply(dispatcher_gone_frame());
-            }
-            SessionReply::Reply(match replies.recv() {
-                Ok(result) => scan_result_frame(result),
-                Err(_) => dispatcher_gone_frame(),
-            })
-        }
-        Frame::InfoRequest => SessionReply::Reply(match request_info(requests) {
-            Ok(info) => Frame::Info { info },
-            Err(_) => dispatcher_gone_frame(),
-        }),
-        Frame::EpochInfoRequest => {
-            let (reply, replies) = bounded(1);
-            if requests.send(ServiceRequest::EpochInfo { reply }).is_err() {
-                return SessionReply::Reply(dispatcher_gone_frame());
-            }
-            SessionReply::Reply(match replies.recv() {
-                Ok(info) => Frame::EpochInfo { info },
-                Err(_) => dispatcher_gone_frame(),
-            })
-        }
-        Frame::UpdateReplayRequest { from_epoch } => {
-            let (reply, replies) = bounded(1);
-            if requests
-                .send(ServiceRequest::Replay { from_epoch, reply })
-                .is_err()
-            {
-                return SessionReply::Reply(dispatcher_gone_frame());
-            }
-            SessionReply::Reply(match replies.recv() {
-                Ok(result) => replay_reply_frame(result, from_epoch, max_replay_frame_bytes),
-                Err(_) => dispatcher_gone_frame(),
-            })
-        }
-        Frame::Goodbye => SessionReply::End,
-        other => {
-            // Hello mid-session or a server-only frame: protocol
-            // violation, close after reporting. (A nested Mux can never
-            // reach here — the decoder rejects it.)
-            SessionReply::Violation(Frame::Error {
-                message: format!("unexpected {} frame mid-session", other.name()),
-            })
-        }
     }
 }
 
@@ -1260,19 +793,23 @@ pub(crate) fn error_frame(err: &PirError) -> Frame {
     }
 }
 
-/// The `Error` frame both tiers send when the dispatcher has exited.
+/// The `Error` frame a request gets when the dispatcher has exited.
 pub(crate) fn dispatcher_gone_frame() -> Frame {
     error_frame(&protocol("service dispatcher is gone"))
 }
 
 #[cfg(test)]
 mod tests {
+    use std::net::TcpStream;
+    use std::time::Instant;
+
     use super::*;
     use impir_core::database::Database;
     use impir_core::engine::EngineConfig;
     use impir_core::server::cpu::{CpuPirServer, CpuServerConfig};
     use impir_core::shard::ShardedDatabase;
-    use impir_core::transport::{PirTransport, TcpTransport};
+    use impir_core::transport::{MuxConnection, MuxSession, PirTransport, TcpTransport};
+    use impir_core::wire::{read_frame, write_frame, WIRE_VERSION};
     use impir_core::PirClient;
 
     fn cpu_engine(db: &Arc<Database>, shards: usize) -> QueryEngine<CpuPirServer> {
@@ -1408,7 +945,7 @@ mod tests {
         let db = Arc::new(Database::random(64, 8, 71).unwrap());
         let service = spawn_cpu_service(&db, 1);
         let idle = TcpTransport::connect(service.addr()).unwrap();
-        // The session thread is blocked waiting for this client's next
+        // The connection's reader is blocked waiting for this client's next
         // frame; shutdown must wake it and return promptly.
         service.shutdown();
         drop(idle);
@@ -1417,94 +954,56 @@ mod tests {
     #[test]
     fn session_budget_ends_the_service() {
         let db = Arc::new(Database::random(64, 8, 81).unwrap());
-        let engine = cpu_engine(&db, 1);
-        let service = PirService::bind(
-            engine,
-            "127.0.0.1:0",
-            ServiceConfig {
-                max_sessions: Some(1),
-                ..ServiceConfig::default()
-            },
-        )
-        .unwrap();
-        let addr = service.addr();
-        let joiner = std::thread::spawn(move || service.join());
-        {
-            let mut transport = TcpTransport::connect(addr).unwrap();
-            let mut client = PirClient::new(64, 8, 4).unwrap();
-            let (shares, _) = client.generate_batch(&[0]).unwrap();
-            assert_eq!(transport.query_batch(&shares).unwrap().responses.len(), 1);
-        } // disconnect → the single budgeted session ends
-        joiner.join().unwrap();
-    }
-
-    use impir_core::topology::SessionTier;
-    use impir_core::transport::{MuxConnection, MuxSession};
-
-    fn spawn_tier_service(db: &Arc<Database>, shards: usize, tier: SessionTier) -> PirService {
-        PirService::bind(
-            cpu_engine(db, shards),
-            "127.0.0.1:0",
-            ServiceConfig {
-                session_tier: tier,
-                ..ServiceConfig::default()
-            },
-        )
-        .unwrap()
-    }
-
-    #[test]
-    fn event_tier_answers_like_the_inprocess_engine() {
-        let db = Arc::new(Database::random(300, 16, 21).unwrap());
-        let service = spawn_tier_service(&db, 3, SessionTier::Events);
-        let mut transport = TcpTransport::connect(service.addr()).unwrap();
-        assert_eq!(transport.cached_info().num_records, 300);
-
-        let mut client = PirClient::new(300, 16, 5).unwrap();
-        let (shares, _) = client.generate_batch(&[0, 123, 299, 123]).unwrap();
-        let remote = transport.query_batch(&shares).unwrap();
-        let local = cpu_engine(&db, 3).execute_batch(&shares).unwrap();
-        assert_eq!(remote.responses, local.responses);
-        // Updates, scans and epoch info ride the same loop.
-        let outcome = transport.apply_updates(&[(7, vec![0xAB; 16])]).unwrap();
-        assert_eq!(outcome.epoch, 1);
-        let selector: SelectorVector = (0..300).map(|i| i % 7 == 0).collect();
-        assert_eq!(transport.scan_selector(&selector).unwrap().epoch, 1);
-        drop(transport);
-        service.shutdown();
-    }
-
-    #[test]
-    fn mux_sessions_answer_correctly_on_both_tiers() {
-        let db = Arc::new(Database::random(256, 8, 31).unwrap());
-        for tier in [SessionTier::Threads, SessionTier::Events] {
-            let service = spawn_tier_service(&db, 2, tier);
-            let connection = MuxConnection::connect(service.addr()).unwrap();
-            let mut local = cpu_engine(&db, 1);
-            let mut sessions: Vec<MuxSession> =
-                (0..4).map(|_| connection.session().unwrap()).collect();
-            // Interleave: every session sends, then every session's
-            // answer is checked against the in-process engine.
-            let mut expected = Vec::new();
-            for (index, session) in sessions.iter_mut().enumerate() {
-                let mut client = PirClient::new(256, 8, index as u64).unwrap();
-                let indices: Vec<u64> =
-                    (0..5).map(|i| (i * 31 + index as u64 * 13) % 256).collect();
-                let (shares, _) = client.generate_batch(&indices).unwrap();
-                let batch = session.query_batch(&shares).unwrap();
-                expected.push((shares, batch.responses));
-            }
-            for (shares, responses) in expected {
-                assert_eq!(
-                    responses,
-                    local.execute_batch(&shares).unwrap().responses,
-                    "tier {tier}"
-                );
-            }
-            drop(sessions);
-            drop(connection);
-            service.shutdown();
+        let mut client = PirClient::new(64, 8, 4).unwrap();
+        let (shares, _) = client.generate_batch(&[0]).unwrap();
+        // The last budget slot goes to a root session (`mux == false`, the
+        // `--max-sessions 1` case) or to a multiplexed one; either way
+        // whoever takes it must wake the blocked acceptor, or `join()`
+        // hangs after the last session has left.
+        for mux in [false, true] {
+            let service = PirService::bind(
+                cpu_engine(&db, 1),
+                "127.0.0.1:0",
+                ServiceConfig {
+                    max_sessions: Some(1 + usize::from(mux)),
+                    ..ServiceConfig::default()
+                },
+            )
+            .unwrap();
+            let addr = service.addr();
+            let joiner = std::thread::spawn(move || service.join());
+            if mux {
+                let connection = MuxConnection::connect(addr).unwrap();
+                let mut session = connection.session().unwrap();
+                assert_eq!(session.query_batch(&shares).unwrap().responses.len(), 1);
+            } else {
+                let mut transport = TcpTransport::connect(addr).unwrap();
+                assert_eq!(transport.query_batch(&shares).unwrap().responses.len(), 1);
+            } // disconnect → the budgeted sessions are over
+            joiner.join().unwrap();
         }
+    }
+
+    #[test]
+    fn mux_sessions_answer_correctly() {
+        let db = Arc::new(Database::random(256, 8, 31).unwrap());
+        let service = spawn_cpu_service(&db, 2);
+        let connection = MuxConnection::connect(service.addr()).unwrap();
+        let mut local = cpu_engine(&db, 1);
+        let mut sessions: Vec<MuxSession> = (0..4).map(|_| connection.session().unwrap()).collect();
+        for (index, session) in sessions.iter_mut().enumerate() {
+            let mut client = PirClient::new(256, 8, index as u64).unwrap();
+            let indices: Vec<u64> = (0..5).map(|i| (i * 31 + index as u64 * 13) % 256).collect();
+            let (shares, _) = client.generate_batch(&indices).unwrap();
+            let batch = session.query_batch(&shares).unwrap();
+            assert_eq!(
+                batch.responses,
+                local.execute_batch(&shares).unwrap().responses
+            );
+        }
+        drop(sessions);
+        drop(connection);
+        service.shutdown();
     }
 
     #[test]
@@ -1542,27 +1041,183 @@ mod tests {
         service.shutdown();
     }
 
+    /// A handshaken raw socket — the pipelining (or hostile) client's view
+    /// of the protocol, no transport layer in between.
+    fn raw_session(addr: SocketAddr) -> TcpStream {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        let hello = Frame::Hello {
+            version: WIRE_VERSION,
+        };
+        write_frame(&mut stream, &hello).unwrap();
+        assert!(matches!(
+            read_frame(&mut stream).unwrap().0,
+            Frame::HelloAck { .. }
+        ));
+        stream
+    }
+
+    fn muxed(session: u32, frame: Frame) -> Frame {
+        Frame::Mux {
+            session,
+            frame: Box::new(frame),
+        }
+    }
+
     #[test]
-    fn event_tier_session_budget_ends_the_service() {
-        let db = Arc::new(Database::random(64, 8, 81).unwrap());
+    fn pipelined_requests_on_one_session_are_answered_in_request_order() {
+        let db = Arc::new(Database::random(64, 8, 101).unwrap());
+        // One admission slot: while the update holds the dispatcher, a
+        // request behind it may be shed — a reply that is ready at once,
+        // and still must not overtake the update's.
         let service = PirService::bind(
             cpu_engine(&db, 1),
             "127.0.0.1:0",
             ServiceConfig {
-                max_sessions: Some(1),
-                session_tier: SessionTier::Events,
+                admission_capacity: 1,
                 ..ServiceConfig::default()
             },
         )
         .unwrap();
-        let addr = service.addr();
-        let joiner = std::thread::spawn(move || service.join());
-        {
-            let mut transport = TcpTransport::connect(addr).unwrap();
-            let mut client = PirClient::new(64, 8, 4).unwrap();
-            let (shares, _) = client.generate_batch(&[0]).unwrap();
-            assert_eq!(transport.query_batch(&shares).unwrap().responses.len(), 1);
-        } // disconnect → the single budgeted session drains the loop
-        joiner.join().unwrap();
+        let mut stream = raw_session(service.addr());
+        let updates: Vec<(u64, Vec<u8>)> = (0..20_000u64).map(|i| (i % 64, vec![7; 8])).collect();
+        for request in [
+            Frame::UpdateBatch { updates },
+            Frame::InfoRequest,
+            Frame::EpochInfoRequest,
+        ] {
+            write_frame(&mut stream, &muxed(5, request)).unwrap();
+        }
+
+        let mut replies = (0..3).map(|_| match read_frame(&mut stream).unwrap().0 {
+            Frame::Mux { session: 5, frame } => *frame,
+            other => panic!("expected a reply on session 5, got {other:?}"),
+        });
+        assert!(matches!(replies.next(), Some(Frame::UpdateAck { .. })));
+        assert!(matches!(
+            replies.next(),
+            Some(Frame::Info { .. } | Frame::Overloaded { .. })
+        ));
+        assert!(matches!(
+            replies.next(),
+            Some(Frame::EpochInfo { .. } | Frame::Overloaded { .. })
+        ));
+        drop(stream);
+        service.shutdown();
+    }
+
+    #[test]
+    fn a_peer_that_never_reads_stalls_only_its_own_connection() {
+        let db = Arc::new(Database::random(64, 256, 111).unwrap());
+        let service = spawn_cpu_service(&db, 1);
+        let mut client = PirClient::new(64, 256, 8).unwrap();
+        let indices: Vec<u64> = (0..64).collect();
+        let (shares, _) = client.generate_batch(&indices).unwrap();
+
+        // Pipeline queries (each answered with 16 KiB) on several session
+        // ids and never read a reply. Once the reply path's socket buffers
+        // and the connection's reply FIFO are full the server's reader
+        // must park, which the peer sees as its own writes stalling. A
+        // server that kept reading would swallow every request below and
+        // hold their replies (CAP x 16 KiB) in memory.
+        const CAP: usize = 8_000;
+        let mut hostile = raw_session(service.addr());
+        hostile
+            .set_write_timeout(Some(Duration::from_millis(250)))
+            .unwrap();
+        let stalled_after = (0..CAP).find(|&sent| {
+            let request = muxed(
+                1 + (sent % 4) as u32,
+                Frame::QueryBatch {
+                    shares: shares.clone(),
+                },
+            );
+            write_frame(&mut hostile, &request).is_err()
+        });
+        assert!(
+            stalled_after.is_some(),
+            "the server read {CAP} pipelined requests from a peer that reads no replies"
+        );
+
+        // The stall is that connection's alone.
+        let mut polite = TcpTransport::connect(service.addr()).unwrap();
+        assert_eq!(
+            polite.query_batch(&shares).unwrap().responses,
+            cpu_engine(&db, 1).execute_batch(&shares).unwrap().responses
+        );
+        drop(polite);
+
+        // Neither the parked reader nor the blocked writer pins shutdown:
+        // both notice within an I/O timeout or two.
+        let io_timeout = ServiceConfig::default().io_timeout;
+        let stopping = Instant::now();
+        service.shutdown();
+        assert!(
+            stopping.elapsed() < 40 * io_timeout,
+            "shutdown took {:?} with a stalled connection open",
+            stopping.elapsed()
+        );
+        drop(hostile);
+    }
+
+    /// The process's live thread count, from the kernel's own books.
+    pub(crate) fn live_threads() -> usize {
+        std::fs::read_to_string("/proc/self/status")
+            .unwrap()
+            .lines()
+            .find_map(|line| line.strip_prefix("Threads:"))
+            .unwrap()
+            .trim()
+            .parse()
+            .unwrap()
+    }
+
+    /// Waits for the live thread count to fall back to `baseline`. Other
+    /// tests of this process start and stop threads meanwhile, so the
+    /// count gets a moment to settle before a leak is called.
+    pub(crate) fn assert_threads_return_to(baseline: usize, what: &str) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        loop {
+            let now = live_threads();
+            if now <= baseline {
+                return;
+            }
+            assert!(
+                Instant::now() < deadline,
+                "{what} left {} thread(s) running",
+                now - baseline
+            );
+            std::thread::sleep(Duration::from_millis(20));
+        }
+    }
+
+    #[test]
+    fn shutdown_joins_every_service_thread() {
+        let db = Arc::new(Database::random(64, 8, 121).unwrap());
+        let mut client = PirClient::new(64, 8, 9).unwrap();
+        let (shares, _) = client.generate_batch(&[1, 50]).unwrap();
+        let before = live_threads();
+
+        let service = spawn_cpu_service(&db, 2);
+        let mut plain: Vec<TcpTransport> = (0..3)
+            .map(|_| TcpTransport::connect(service.addr()).unwrap())
+            .collect();
+        let connection = MuxConnection::connect(service.addr()).unwrap();
+        let mut muxed: Vec<MuxSession> = (0..3).map(|_| connection.session().unwrap()).collect();
+        for transport in &mut plain {
+            assert_eq!(transport.query_batch(&shares).unwrap().responses.len(), 2);
+        }
+        for session in &mut muxed {
+            assert_eq!(session.query_batch(&shares).unwrap().responses.len(), 2);
+        }
+        // One plain connection is still open when the service stops.
+        plain.truncate(1);
+        drop(muxed);
+        drop(connection);
+        service.shutdown();
+
+        // The acceptor, the dispatcher and every connection's reader and
+        // writer are joined before shutdown() returns.
+        assert_threads_return_to(before, "service shutdown");
+        drop(plain);
     }
 }

@@ -61,10 +61,10 @@ use impir_core::transport::{MuxConnection, MuxSession, PirTransport};
 use impir_core::wire::{Frame, WIRE_VERSION};
 use impir_core::{PirError, UpdateOutcome};
 
-use crate::{protocol, read_session_frame, write_session_frame};
-
-/// How often the blocked accept loop wakes to check the shutdown flag.
-const ACCEPT_POLL: Duration = Duration::from_millis(50);
+use crate::protocol;
+use crate::session::{
+    accept_connections, hello_refusal, read_session_frame, wake_acceptor, write_session_frame,
+};
 
 /// How many times a fan-out leg waits out a replica's typed overload
 /// refusal before leaving the replica to the prober's journal replay.
@@ -246,18 +246,18 @@ impl PirRouter {
         let addr = listener.local_addr().map_err(|err| PirError::Protocol {
             reason: format!("reading router listener address: {err}"),
         })?;
-        listener
-            .set_nonblocking(true)
-            .map_err(|err| PirError::Protocol {
-                reason: format!("configuring router listener: {err}"),
-            })?;
         let shutdown = Arc::new(AtomicBool::new(false));
         let probe_interval = Duration::from_millis(router.probe_interval_ms);
 
         let accept_state = Arc::clone(&state);
         let accept_shutdown = Arc::clone(&shutdown);
+        let session_shutdown = Arc::clone(&shutdown);
         let accept_handle = std::thread::spawn(move || {
-            accept_loop(&listener, &accept_state, &accept_shutdown, io_timeout);
+            accept_connections(
+                &listener,
+                || accept_shutdown.load(Ordering::SeqCst),
+                move |stream| session_loop(stream, &accept_state, &session_shutdown, io_timeout),
+            );
         });
         let prober_state = Arc::clone(&state);
         let prober_shutdown = Arc::clone(&shutdown);
@@ -307,6 +307,7 @@ impl PirRouter {
     fn stop(&mut self) {
         self.shutdown.store(true, Ordering::SeqCst);
         if let Some(handle) = self.accept_handle.take() {
+            wake_acceptor(self.addr);
             let _ = handle.join();
         }
         if let Some(handle) = self.prober_handle.take() {
@@ -342,47 +343,6 @@ impl std::fmt::Debug for PirRouter {
             .field("addr", &self.addr)
             .field("replicas", &self.state.slots.len())
             .finish_non_exhaustive()
-    }
-}
-
-fn accept_loop(
-    listener: &TcpListener,
-    state: &Arc<RouterState>,
-    shutdown: &Arc<AtomicBool>,
-    io_timeout: Duration,
-) {
-    let mut sessions: Vec<std::thread::JoinHandle<()>> = Vec::new();
-    while !shutdown.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                let session_state = Arc::clone(state);
-                let session_shutdown = Arc::clone(shutdown);
-                sessions.push(std::thread::spawn(move || {
-                    session_loop(stream, &session_state, &session_shutdown, io_timeout);
-                }));
-            }
-            Err(err)
-                if err.kind() == std::io::ErrorKind::WouldBlock
-                    || err.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                std::thread::sleep(ACCEPT_POLL);
-            }
-            Err(_) => break,
-        }
-        // Reap finished sessions every pass so a long-lived router does
-        // not accumulate one parked JoinHandle per past client.
-        let mut still_running = Vec::with_capacity(sessions.len());
-        for session in sessions {
-            if session.is_finished() {
-                let _ = session.join();
-            } else {
-                still_running.push(session);
-            }
-        }
-        sessions = still_running;
-    }
-    for session in sessions {
-        let _ = session.join();
     }
 }
 
@@ -520,58 +480,33 @@ fn session_loop(
         Ok(Some(frame)) => frame,
         _ => return,
     };
-    let mut backend = match frame {
-        Frame::Hello { version } if version == WIRE_VERSION => {
-            match RoutedBackend::connect(state) {
-                Ok(backend) => {
-                    let ack = Frame::HelloAck {
-                        version: WIRE_VERSION,
-                        info: backend.info,
-                    };
-                    if write_session_frame(&mut stream, &ack, shutdown).is_err() {
-                        return;
-                    }
-                    backend
-                }
-                // Every replica is shedding: refuse the session with the
-                // same typed frame a replica would use.
-                Err(PirError::Overloaded { retry_after_ms }) => {
-                    let _ = write_session_frame(
-                        &mut stream,
-                        &Frame::Overloaded { retry_after_ms },
-                        shutdown,
-                    );
-                    return;
-                }
-                Err(err) => {
-                    let _ = write_session_frame(
-                        &mut stream,
-                        &Frame::Error {
-                            message: format!("router has no healthy replica: {err}"),
-                        },
-                        shutdown,
-                    );
-                    return;
-                }
+    if let Some(refusal) = hello_refusal(&frame) {
+        let _ = write_session_frame(&mut stream, &refusal, shutdown);
+        return;
+    }
+    let mut backend = match RoutedBackend::connect(state) {
+        Ok(backend) => {
+            let ack = Frame::HelloAck {
+                version: WIRE_VERSION,
+                info: backend.info,
+            };
+            if write_session_frame(&mut stream, &ack, shutdown).is_err() {
+                return;
             }
+            backend
         }
-        Frame::Hello { version } => {
-            let _ = write_session_frame(
-                &mut stream,
-                &Frame::Error {
-                    message: format!(
-                        "server speaks wire version {WIRE_VERSION}, client sent {version}"
-                    ),
-                },
-                shutdown,
-            );
+        // Every replica is shedding: refuse the session with the same
+        // typed frame a replica would use.
+        Err(PirError::Overloaded { retry_after_ms }) => {
+            let _ =
+                write_session_frame(&mut stream, &Frame::Overloaded { retry_after_ms }, shutdown);
             return;
         }
-        other => {
+        Err(err) => {
             let _ = write_session_frame(
                 &mut stream,
                 &Frame::Error {
-                    message: format!("expected Hello to open the session, got {}", other.name()),
+                    message: format!("router has no healthy replica: {err}"),
                 },
                 shutdown,
             );
@@ -886,6 +821,7 @@ fn catch_up(state: &RouterState, behind: usize, ahead: usize) -> bool {
 mod tests {
     use super::*;
     use crate::build_service;
+    use crate::tests::{assert_threads_return_to, live_threads};
     use impir_core::topology::{ReplicaSpec, RouterSpec};
     use impir_core::transport::{LocalTransport, TcpTransport};
     use impir_core::PirClient;
@@ -913,18 +849,6 @@ mod tests {
             max_lag_epochs: 0,
         });
         topology
-    }
-
-    /// The process's live thread count, from the kernel's own books.
-    fn live_threads() -> usize {
-        std::fs::read_to_string("/proc/self/status")
-            .unwrap()
-            .lines()
-            .find_map(|line| line.strip_prefix("Threads:"))
-            .unwrap()
-            .trim()
-            .parse()
-            .unwrap()
     }
 
     #[test]
@@ -991,22 +915,10 @@ mod tests {
 
         // The accept loop, the prober, every session thread and every
         // backend connection's reader thread must be joined before
-        // shutdown() returns. The replicas' own session threads (they
+        // shutdown() returns. The replicas' own connection threads (they
         // live in this process too) exit asynchronously when the
-        // connections close, so give the count a moment to settle.
-        let deadline = std::time::Instant::now() + Duration::from_secs(5);
-        loop {
-            let now = live_threads();
-            if now <= before {
-                break;
-            }
-            assert!(
-                std::time::Instant::now() < deadline,
-                "router shutdown left {} thread(s) running",
-                now - before
-            );
-            std::thread::sleep(Duration::from_millis(20));
-        }
+        // connections close.
+        assert_threads_return_to(before, "router shutdown");
         for service in services {
             service.shutdown();
         }

@@ -17,9 +17,7 @@ use std::sync::Arc;
 
 use im_pir::core::multi_server::NServerNaivePir;
 use im_pir::core::scheme::TwoServerPir;
-use im_pir::core::topology::{
-    BackendSpec, FleetTopology, RebalanceMode, ReplicaSpec, SessionTier, ShardPolicy,
-};
+use im_pir::core::topology::{BackendSpec, FleetTopology, RebalanceMode, ReplicaSpec, ShardPolicy};
 use im_pir::core::transport::{LocalTransport, MuxConnection, PirTransport, TcpTransport};
 use im_pir::core::wire::{Frame, WIRE_VERSION};
 use im_pir::core::{PirClient, PirError};
@@ -103,73 +101,6 @@ fn tcp_and_local_transports_answer_byte_identically_across_updates() {
 
         service.shutdown();
     }
-}
-
-#[test]
-fn event_tier_answers_byte_identically_to_the_threaded_tier_across_updates() {
-    // The same topology served by both session tiers, compared against
-    // the same in-process oracle — pre- and post-update. This is the
-    // contract that lets `session-tier = events` swap in transparently:
-    // the tiers share every reply constructor, so nothing on the wire
-    // reveals which one answered.
-    let indices = [0u64, 1, 299, 300, 599, 123, 123];
-    let updates: Vec<(u64, Vec<u8>)> = vec![
-        (0, vec![0x11; RECORD_BYTES]),
-        (299, vec![0x22; RECORD_BYTES]),
-        (599, vec![0x44; RECORD_BYTES]),
-    ];
-
-    let mut threaded_topology = cpu_fleet(3);
-    threaded_topology.session_tier = SessionTier::Threads;
-    let mut event_topology = cpu_fleet(3);
-    event_topology.session_tier = SessionTier::Events;
-
-    let threaded = build_service(&threaded_topology, 0).unwrap();
-    let events = build_service(&event_topology, 0).unwrap();
-    let mut over_threads = TcpTransport::connect(threaded.addr()).unwrap();
-    let mut over_events = TcpTransport::connect(events.addr()).unwrap();
-    let mut oracle = LocalTransport::new(cpu_fleet(3).build_engine(0).unwrap());
-
-    assert_eq!(
-        over_events.server_info().unwrap(),
-        over_threads.server_info().unwrap()
-    );
-
-    let mut client = PirClient::new(RECORDS, RECORD_BYTES, 5).unwrap();
-    let (shares, _) = client.generate_batch(&indices).unwrap();
-    let threaded_reply = over_threads.query_batch(&shares).unwrap();
-    let event_reply = over_events.query_batch(&shares).unwrap();
-    let oracle_reply = oracle.query_batch(&shares).unwrap();
-    assert_eq!(threaded_reply.responses, oracle_reply.responses);
-    assert_eq!(
-        event_reply.responses, oracle_reply.responses,
-        "pre-update responses must not depend on the session tier"
-    );
-    assert_eq!(event_reply.upload_bytes, threaded_reply.upload_bytes);
-    assert_eq!(event_reply.download_bytes, threaded_reply.download_bytes);
-
-    for transport in [
-        &mut over_threads as &mut dyn PirTransport,
-        &mut over_events,
-        &mut oracle,
-    ] {
-        assert_eq!(transport.apply_updates(&updates).unwrap().epoch, 1);
-    }
-
-    let threaded_reply = over_threads.query_batch(&shares).unwrap();
-    let event_reply = over_events.query_batch(&shares).unwrap();
-    let oracle_reply = oracle.query_batch(&shares).unwrap();
-    assert_eq!(threaded_reply.responses, oracle_reply.responses);
-    assert_eq!(
-        event_reply.responses, oracle_reply.responses,
-        "post-update responses must not depend on the session tier"
-    );
-    assert_eq!(event_reply.epoch, 1);
-
-    drop(over_threads);
-    drop(over_events);
-    threaded.shutdown();
-    events.shutdown();
 }
 
 #[test]
@@ -265,13 +196,11 @@ fn event_tier_sheds_overload_with_typed_refusals_and_recovers() {
     // `Overloaded` frame — not a generic error, never a dropped
     // connection — and after the queue drains the very same sessions
     // keep serving.
-    let mut topology = cpu_fleet(1);
-    topology.session_tier = SessionTier::Events;
+    let topology = cpu_fleet(1);
     let service = build_service_with(
         &topology,
         0,
         ServiceConfig {
-            session_tier: SessionTier::Events,
             admission_capacity: 1,
             ..ServiceConfig::default()
         },
@@ -411,11 +340,10 @@ fn wrap(session: u32, frame: Frame) -> Frame {
 
 #[test]
 fn hostile_mux_input_gets_a_protocol_error_not_a_crash() {
-    // A nested Mux on a live event-tier connection produces a clean
+    // A nested Mux on a live connection produces a clean
     // protocol error (and a closed connection) — the server stays up and
     // keeps serving fresh connections.
-    let mut topology = cpu_fleet(1);
-    topology.session_tier = SessionTier::Events;
+    let topology = cpu_fleet(1);
     let service = build_service(&topology, 0).unwrap();
 
     let mut stream = TcpStream::connect(service.addr()).unwrap();
@@ -458,13 +386,11 @@ fn client_side_overloaded_error_is_typed_and_retryable() {
     // The client-facing face of load shedding: a MuxSession surfaces the
     // refusal as `PirError::Overloaded` with the server's backoff hint,
     // and the same session succeeds on retry.
-    let mut topology = cpu_fleet(1);
-    topology.session_tier = SessionTier::Events;
+    let topology = cpu_fleet(1);
     let service = build_service_with(
         &topology,
         0,
         ServiceConfig {
-            session_tier: SessionTier::Events,
             admission_capacity: 1,
             ..ServiceConfig::default()
         },

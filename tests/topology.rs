@@ -105,15 +105,22 @@ proptest! {
 
     /// parse(serialize(t)) == t for arbitrary valid topologies: the config
     /// format loses nothing, across backends, transports, overrides and
-    /// router sections.
+    /// router sections — and a file that still carries the accepted-and-
+    /// ignored `session-tier` key parses to the same topology, which
+    /// serializes without it.
     #[test]
     fn prop_parse_serialize_parse_is_identity(seed in any::<u64>()) {
         let topology = arbitrary_topology(seed);
         prop_assume!(topology.validate().is_ok()); // duplicate random names
         let serialized = topology.to_config_string();
-        let reparsed = FleetTopology::parse(&serialized)
-            .expect("canonical serialization must reparse");
-        prop_assert_eq!(reparsed, topology);
+        prop_assert!(!serialized.contains("session-tier"));
+        let tier = ["threads", "events"][(seed % 2) as usize];
+        let legacy = serialized.replacen("[fleet]\n", &format!("[fleet]\nsession-tier = {tier}\n"), 1);
+        for input in [&serialized, &legacy] {
+            let reparsed = FleetTopology::parse(input)
+                .expect("canonical serialization must reparse");
+            prop_assert_eq!(&reparsed, &topology);
+        }
     }
 
     /// Printable garbage never panics the parser and never produces a
@@ -244,14 +251,15 @@ clusters = 4
 /// round-trips through the canonical serializer.
 #[test]
 fn checked_in_topology_files_stay_valid() {
-    for name in [
-        "single_host_dev.fleet",
-        "two_replica_tcp.fleet",
-        "router_mixed_fleet.fleet",
+    for path in [
+        "examples/topologies/single_host_dev.fleet",
+        "examples/topologies/two_replica_tcp.fleet",
+        "examples/topologies/router_mixed_fleet.fleet",
+        // Carries `session-tier = events`, accepted and ignored.
+        "e2e/workloads/small-cpu-tcp.fleet",
     ] {
-        let path = format!("examples/topologies/{name}");
-        let topology = FleetTopology::from_file(&path)
-            .unwrap_or_else(|err| panic!("{path} must parse: {err}"));
+        let topology =
+            FleetTopology::from_file(path).unwrap_or_else(|err| panic!("{path} must parse: {err}"));
         topology
             .validate()
             .unwrap_or_else(|err| panic!("{path} must validate: {err}"));
