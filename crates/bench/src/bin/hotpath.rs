@@ -3,7 +3,7 @@
 //!
 //! The expansion of a DPF key over the full domain and the selector-driven
 //! XOR scan bound every backend's throughput (paper §3.2), so this bin
-//! measures six things:
+//! measures seven things:
 //!
 //! * **self-check** — every registered [`impir_core::dpxor::ScanKernel`]
 //!   is replayed against the scalar oracle across record sizes (including
@@ -29,6 +29,13 @@
 //!   33, which exercises the word+tail path), selector densities
 //!   (sparse/half/full) and `scan_threads` ∈ {1, 2, 4} through
 //!   [`impir_core::server::cpu::CpuPirServer`]'s scoped-thread scan.
+//! * **engine fixed cost** — what one single-share
+//!   [`QueryEngine::execute_batch`] on a 1024×32 B single-shard cpu engine
+//!   costs *beyond* the phases it accounts for (wall − `phase_totals`, µs,
+//!   median). Its ceiling is 0 µs: a batch with nothing to overlap has
+//!   nothing to hand off, so every microsecond here is pipeline plumbing.
+//!   A full-size run exits with code 2 above [`ENGINE_FIXED_COST_BAR_US`]
+//!   (one scoped spawn+join alone is ≈30 µs on this class of host).
 //! * **roofline** — a streaming XOR-fold probe measures the host's actual
 //!   read bandwidth (single-thread and all-threads); the measured scan
 //!   throughputs are reported as fractions of that ceiling via
@@ -56,6 +63,7 @@ use std::time::Instant;
 use impir_bench::report::{DataPoint, FigureReport, Series};
 use impir_core::database::Database;
 use impir_core::dpxor::{self, KernelChoice, ScanKernel};
+use impir_core::engine::{EngineConfig, QueryEngine};
 use impir_core::protocol::QueryShare;
 use impir_core::server::cpu::{CpuPirServer, CpuServerConfig};
 use impir_core::server::PirServer;
@@ -89,6 +97,13 @@ const PRG_SEEDS: usize = 4096;
 /// blocks/s on a full-size run.
 const PRG_KERNEL_BAR: f64 = 2.0;
 
+/// Single-share batches timed per fixed-cost measurement.
+const ENGINE_FIXED_COST_BATCHES: usize = 2000;
+
+/// A single-share batch may cost at most this much beyond its accounted
+/// phases on a full-size run, in µs.
+const ENGINE_FIXED_COST_BAR_US: f64 = 60.0;
+
 fn main() {
     let mut args = std::env::args().skip(1);
     let domain_bits: u32 = args
@@ -120,6 +135,8 @@ fn main() {
     let (prg_oracle, prg_kernel) = time_prg(iterations);
     let (expand_old, expand_new) = time_expand(domain_bits, iterations);
     let (scan_old, scan_new) = time_scan(domain_bits, iterations);
+    let (engine_wall_us, engine_phases_us) = time_engine_fixed_cost();
+    let engine_fixed_us = engine_wall_us - engine_phases_us;
 
     let mut prg = Series::new("prg blocks/s (AES blocks through the GGM PRG)", "blocks/s");
     prg.push(DataPoint::new("oracle (single-block)", 0.0, prg_oracle));
@@ -142,6 +159,15 @@ fn main() {
     scan.push(DataPoint::new("old", 0.0, scan_old));
     scan.push(DataPoint::new("new", 1.0, scan_new));
     report.push_series(scan);
+
+    let mut fixed = Series::new(
+        "engine fixed cost (single-share execute_batch, 1024x32 B cpu engine; ceiling 0 us)",
+        "us",
+    );
+    fixed.push(DataPoint::new("execute_batch wall", 0.0, engine_wall_us));
+    fixed.push(DataPoint::new("phase totals", 1.0, engine_phases_us));
+    fixed.push(DataPoint::new("wall - phases", 2.0, engine_fixed_us));
+    report.push_series(fixed);
 
     // Kernel shootout: every registered kernel plus the dispatched choice,
     // same workload as the old-vs-new comparison.
@@ -246,6 +272,13 @@ fn main() {
         prg_kernel / prg_oracle
     ));
     report.push_note(format!(
+        "engine fixed cost: a single-share batch takes {engine_wall_us:.1} us of which \
+         {engine_phases_us:.1} us are accounted phases, leaving {engine_fixed_us:.1} us of \
+         plumbing against a 0 us ceiling (the caller is worker 0 and shard 0, so nothing is \
+         handed off; bar {ENGINE_FIXED_COST_BAR_US} us; medians of \
+         {ENGINE_FIXED_COST_BATCHES} batches)"
+    ));
+    report.push_note(format!(
         "measured read bandwidth: {:.2} GB/s single-thread, {:.2} GB/s with {} threads \
          (streaming XOR-fold over the {}-byte scan working set); scan GB/s counts \
          selected-record bytes (count_ones x record_size)",
@@ -296,6 +329,13 @@ fn main() {
             "warning: dispatched scan kernel below the 1.2x bar vs the old wide path \
              ({:.2}x: {scan_new:.6}s vs {scan_old:.6}s)",
             scan_old / scan_new
+        );
+    }
+    if engine_fixed_us > ENGINE_FIXED_COST_BAR_US {
+        regressed = true;
+        eprintln!(
+            "warning: engine fixed cost above the {ENGINE_FIXED_COST_BAR_US} us bar \
+             ({engine_fixed_us:.1} us = {engine_wall_us:.1} wall - {engine_phases_us:.1} phases)"
         );
     }
     // Thread scaling needs threads to scale onto: only meaningful where the
@@ -411,6 +451,39 @@ fn time_prg(iterations: usize) -> (f64, f64) {
     }
     let blocks = LengthDoublingPrg::aes_ops_per_level(PRG_SEEDS) as f64;
     (blocks / best_oracle, blocks / best_kernel)
+}
+
+/// `(wall, accounted phases)` of one single-share `execute_batch` on a
+/// 1024×32 B single-shard cpu engine under the default configuration, in
+/// µs — the median of each over [`ENGINE_FIXED_COST_BATCHES`] batches after
+/// a warm-up. The domain is fixed: the fixed cost is what is left when the
+/// kernels are small.
+fn time_engine_fixed_cost() -> (f64, f64) {
+    let database = Arc::new(Database::random(1024, 32, 0xf1ed).expect("valid geometry"));
+    let server = CpuPirServer::new(Arc::clone(&database), CpuServerConfig::baseline())
+        .expect("valid configuration");
+    let mut engine =
+        QueryEngine::single(server, EngineConfig::default()).expect("valid configuration");
+    let mut client = impir_core::PirClient::new(1024, 32, 7).expect("valid geometry");
+    let mut walls = Vec::with_capacity(ENGINE_FIXED_COST_BATCHES);
+    let mut phases = Vec::with_capacity(ENGINE_FIXED_COST_BATCHES);
+    for batch in 0..ENGINE_FIXED_COST_BATCHES + ENGINE_FIXED_COST_BATCHES / 10 {
+        let (share, _) = client
+            .generate_query((batch as u64 * 37) % 1024)
+            .expect("index in range");
+        let outcome = engine
+            .execute_batch(std::slice::from_ref(&share))
+            .expect("query succeeds");
+        if batch >= ENGINE_FIXED_COST_BATCHES / 10 {
+            walls.push(outcome.wall_seconds * 1e6);
+            phases.push(outcome.phase_totals.total_wall_seconds() * 1e6);
+        }
+    }
+    let median = |samples: &mut Vec<f64>| {
+        samples.sort_by(f64::total_cmp);
+        samples[samples.len() / 2]
+    };
+    (median(&mut walls), median(&mut phases))
 }
 
 /// Times one full-domain expansion per iteration through the old and the

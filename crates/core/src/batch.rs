@@ -1,24 +1,27 @@
 //! Batched query processing (§3.4, Figure 8), generic over server backends.
 //!
 //! A PIR server usually receives many queries at once. IM-PIR pipelines
-//! them in two concurrently running stages connected by bounded queues:
+//! them in two concurrently running stages:
 //!
-//! * **host worker threads** pull query positions from a bounded input
-//!   window, run the DPF evaluation and push `(position, selector bits)`
-//!   tasks onto a **bounded admission queue**;
-//! * a **scheduler** (the calling thread) consumes tasks *in query order*
-//!   through a small reorder buffer, groups them into waves of the
-//!   backend's [`BatchExecutor::wave_width`] and launches each wave's scan
-//!   on the backend — for IM-PIR one `dpXOR` launch across all active DPU
-//!   clusters; for the CPU and streaming backends a host-side scan — while
-//!   the workers keep evaluating the next queries.
+//! * **host workers** claim query positions in order inside a bounded
+//!   **admission window**, run the DPF evaluation and file
+//!   `(position, selector bits)` tasks in a small reorder buffer;
+//! * a **scheduler** consumes tasks *in query order*, groups them into
+//!   waves of the backend's [`BatchExecutor::wave_width`] and launches each
+//!   wave's scan on the backend — for IM-PIR one `dpXOR` launch across all
+//!   active DPU clusters; for the CPU and streaming backends a host-side
+//!   scan — while the workers keep evaluating the next queries.
 //!
-//! Backpressure is real: when the data plane falls behind, the admission
-//! queue fills, the workers block, and the input window stops releasing
-//! positions, so at most `O(queue_depth + worker_threads)` evaluated
-//! selectors exist at any moment no matter how large the batch. Wave
-//! composition is deterministic (waves are consecutive query positions)
-//! regardless of worker scheduling.
+//! **The calling thread is the scheduler and worker 0**: to run N workers
+//! the pipeline spawns N−1 scoped helpers ([`impir_dpf::fan_out`]'s rule),
+//! so a batch with nothing to overlap — one share, or one worker — spawns
+//! no thread at all.
+//!
+//! Backpressure is real: when the data plane falls behind, the window stops
+//! releasing positions and the helpers block, so at most
+//! `O(queue_depth + worker_threads)` evaluated selectors exist at any
+//! moment no matter how large the batch. Wave composition is deterministic
+//! (waves are consecutive query positions) regardless of worker scheduling.
 //!
 //! The pipeline is **backend-generic**: any server implementing
 //! [`BatchExecutor`] — the PIM server, the CPU server, the out-of-core
@@ -33,7 +36,6 @@
 
 use std::time::Instant;
 
-use crossbeam::channel;
 use impir_dpf::SelectorVector;
 use serde::{Deserialize, Serialize};
 
@@ -45,15 +47,19 @@ use crate::server::{BatchOutcome, PirServer};
 /// Configuration of the batched execution pipeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchConfig {
-    /// Number of host worker threads performing DPF evaluations
-    /// (defaults to the host's available parallelism).
+    /// Number of host threads performing DPF evaluations (defaults to the
+    /// host's available parallelism). The thread calling into the pipeline
+    /// is one of them: a batch runs on `min(worker_threads, batch size) − 1`
+    /// spawned helpers plus the caller.
     pub worker_threads: usize,
-    /// Capacity of the admission queue between the evaluation workers and
-    /// the scheduler, and of the input window feeding the workers. A full
-    /// queue blocks the workers and stops the input window (backpressure):
-    /// at most `queue_depth + worker_threads` evaluated-but-unscanned
-    /// selector vectors exist at any moment (queue + reorder buffer +
-    /// in-flight evaluations), independent of the batch size.
+    /// Depth of the admission window between the evaluation workers and
+    /// the scheduler: a position may be claimed only while fewer than
+    /// `queue_depth + worker_threads` positions are claimed but not yet
+    /// consumed. A full window blocks the workers (backpressure): at most
+    /// that many evaluated-but-unscanned selector vectors exist at any
+    /// moment (reorder buffer + in-flight evaluations), independent of the
+    /// batch size. The engine's per-shard feeds hold `queue_depth`
+    /// selectors each.
     pub queue_depth: usize,
 }
 
@@ -150,9 +156,9 @@ pub trait BatchExecutor: PirServer {
     /// A self-contained evaluator performing the same work as
     /// [`BatchExecutor::evaluate_selector`] without borrowing the server.
     ///
-    /// The pipeline's worker threads evaluate through this handle while the
-    /// scheduler thread holds the server mutably for wave execution — that
-    /// is what lets the two stages overlap. Implementations capture cheap
+    /// The pipeline's workers evaluate through this handle while the
+    /// scheduler holds the server mutably for wave execution — that is
+    /// what lets the two stages overlap. Implementations capture cheap
     /// clones (an `Arc` of the database, the evaluation strategy).
     fn selector_evaluator(&self) -> SelectorEvaluator;
 
@@ -375,36 +381,73 @@ pub fn database_selector_evaluator(
     })
 }
 
-/// A task produced by the evaluation stage: the query's position in the
-/// batch, the worker thread that evaluated it, its evaluated selector bits
-/// and the wall time the evaluation took.
+/// A task produced by the evaluation stage: the worker that evaluated it,
+/// its evaluated selector bits and the wall time the evaluation took.
 struct EvaluatedSelector {
-    position: usize,
     worker: usize,
     selector: SelectorVector,
     eval_wall_seconds: f64,
 }
 
+/// The admission state every pipeline thread shares: positions are claimed
+/// in order, finished evaluations wait in the reorder buffer until the
+/// scheduler reaches them, and `claimed − consumed` never exceeds the
+/// window — which is what bounds the buffer.
+struct Admission {
+    claimed: usize,
+    consumed: usize,
+    /// No further position may be claimed (an evaluation or `consume`
+    /// failed).
+    cancelled: bool,
+    /// A pipeline thread is unwinding: what it claimed will never arrive.
+    aborted: bool,
+    reorder: std::collections::BTreeMap<usize, Result<EvaluatedSelector, PirError>>,
+}
+
+/// Held by every pipeline thread: a panic in `evaluate` or `consume` must
+/// release the others, or `thread::scope` would wait for them forever and
+/// turn the panic into a hang.
+struct AbortOnUnwind<'a>(&'a std::sync::Mutex<Admission>, &'a std::sync::Condvar);
+
+impl Drop for AbortOnUnwind<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            let mut state = self
+                .0
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            state.cancelled = true;
+            state.aborted = true;
+            self.1.notify_all();
+        }
+    }
+}
+
 /// The streaming stage-1 pipeline: evaluates positions `0..count` on
 /// `worker_threads` threads and hands each result to `consume` **in
-/// position order**, on the calling thread, while the workers keep
+/// position order**, on the calling thread, while the other workers keep
 /// evaluating ahead — `consume` typically launches data-plane scans, so
 /// the two stages overlap. `consume` receives the index of the worker
-/// thread that ran the evaluation, so callers can account the concurrent
+/// that ran the evaluation, so callers can account the concurrent
 /// workers' wall times as a critical path instead of a sum.
 ///
-/// Flow control: the feeder releases position `p` only once fewer than
-/// `queue_depth + workers` positions separate it from the scheduler's
-/// consumption point, and the admission queue holds at most `queue_depth`
-/// evaluated tasks; a reorder buffer on the consumer side restores
-/// position order. When `consume` falls behind, the queue fills, the
-/// workers block and the window stops — at most
-/// `queue_depth + worker_threads` selectors exist at any moment,
-/// regardless of `count` and even if one evaluation straggles.
+/// **The calling thread is worker 0 and the scheduler**; only
+/// `min(worker_threads, count) − 1` helper threads exist, so a one-share
+/// batch (or `worker_threads = 1`) spawns nothing. The caller consumes
+/// whatever is ready in position order first, evaluates a position itself
+/// when the window allows, and sleeps only when helpers hold everything
+/// outstanding.
 ///
-/// On failure (evaluation or `consume`) the pipeline stops consuming,
-/// drains the queues so no thread is left blocked, and returns the first
-/// error observed.
+/// Flow control: position `p` may be claimed only once fewer than
+/// `queue_depth + workers` positions separate it from the scheduler's
+/// consumption point. When `consume` falls behind, the window closes and
+/// the helpers block — at most `queue_depth + worker_threads` selectors
+/// exist at any moment, regardless of `count` and even if one evaluation
+/// straggles.
+///
+/// On failure (evaluation or `consume`) no further position is claimed,
+/// no thread is left blocked, and the error at the **lowest position** is
+/// returned — the one a sequential run would have hit first.
 pub(crate) fn stream_selectors<E, C>(
     count: usize,
     config: &BatchConfig,
@@ -415,121 +458,94 @@ where
     E: Fn(usize) -> Result<SelectorVector, PirError> + Sync,
     C: FnMut(usize, usize, SelectorVector, f64) -> Result<(), PirError>,
 {
-    if count == 0 {
-        return Ok(());
-    }
-    let workers = config.worker_threads.max(1).min(count);
-    let (input_sender, input_receiver) = channel::bounded::<usize>(config.queue_depth);
-    let (task_sender, task_receiver) =
-        channel::bounded::<Result<EvaluatedSelector, PirError>>(config.queue_depth);
-    let mut first_error: Option<PirError> = None;
-
-    // Sliding window over consumed positions: the feeder may release
-    // position `p` only once `p < consumed + window`, which strictly bounds
-    // every buffer (queue, reorder, in-flight) even if one evaluation is
-    // pathologically slow. `cancelled` releases the feeder on error.
+    let workers = config.worker_threads.min(count).max(1);
     let window = config.queue_depth + workers;
-    let progress: std::sync::Mutex<(usize, bool)> = std::sync::Mutex::new((0, false));
-    let progress_signal = std::sync::Condvar::new();
-
-    std::thread::scope(|scope| {
-        // Input window: releases positions in order, never more than
-        // `window` ahead of the scheduler's consumption.
-        let progress_ref = &progress;
-        let progress_signal_ref = &progress_signal;
-        scope.spawn(move || {
-            for position in 0..count {
-                {
-                    let mut state = progress_ref.lock().expect("progress lock poisoned");
-                    while position >= state.0 + window && !state.1 {
-                        state = progress_signal_ref
-                            .wait(state)
-                            .expect("progress lock poisoned");
-                    }
-                    if state.1 {
-                        break;
-                    }
-                }
-                if input_sender.send(position).is_err() {
-                    break;
-                }
-            }
+    let admission = std::sync::Mutex::new(Admission {
+        claimed: 0,
+        consumed: 0,
+        cancelled: false,
+        aborted: false,
+        reorder: std::collections::BTreeMap::new(),
+    });
+    let changed = std::sync::Condvar::new();
+    let lock = || admission.lock().expect("a pipeline thread panicked");
+    let wait = |guard| changed.wait(guard).expect("a pipeline thread panicked");
+    let notify = || changed.notify_all();
+    let abort_on_unwind = || AbortOnUnwind(&admission, &changed);
+    let claimable =
+        |state: &Admission| !state.cancelled && state.claimed < count.min(state.consumed + window);
+    // Claims the next position, evaluates it with the lock released and
+    // files the result; a failed evaluation closes admission.
+    let evaluate_next = |mut state: std::sync::MutexGuard<'_, Admission>, worker: usize| {
+        let position = state.claimed;
+        state.claimed += 1;
+        drop(state);
+        let eval_started = Instant::now();
+        let task = evaluate(position).map(|selector| EvaluatedSelector {
+            worker,
+            selector,
+            eval_wall_seconds: eval_started.elapsed().as_secs_f64(),
         });
-        for worker in 0..workers {
-            let task_sender = task_sender.clone();
-            let input_receiver = input_receiver.clone();
-            let evaluate = &evaluate;
+        let mut state = lock();
+        state.cancelled |= task.is_err();
+        state.reorder.insert(position, task);
+        state
+    };
+
+    let mut first_error = None;
+    std::thread::scope(|scope| {
+        for worker in 1..workers {
             scope.spawn(move || {
-                while let Ok(position) = input_receiver.recv() {
-                    let eval_started = Instant::now();
-                    let result = evaluate(position).map(|selector| EvaluatedSelector {
-                        position,
-                        worker,
-                        selector,
-                        eval_wall_seconds: eval_started.elapsed().as_secs_f64(),
-                    });
-                    if task_sender.send(result).is_err() {
+                let _abort = abort_on_unwind();
+                let mut state = lock();
+                loop {
+                    if claimable(&state) {
+                        state = evaluate_next(state, worker);
+                        notify();
+                    } else if state.cancelled || state.claimed == count {
                         break;
+                    } else {
+                        state = wait(state);
                     }
                 }
             });
         }
-        drop(task_sender);
-        drop(input_receiver);
 
-        // Scheduler side: restore position order through a reorder buffer
-        // and feed `consume` while the workers evaluate ahead. Keep
-        // draining after an error so no worker deadlocks on a full queue.
-        let mut reorder: std::collections::BTreeMap<usize, EvaluatedSelector> =
-            std::collections::BTreeMap::new();
-        let mut next_position = 0usize;
-        let cancel = |first_error: &mut Option<PirError>, error: PirError| {
-            if first_error.is_none() {
-                *first_error = Some(error);
-            }
-            progress.lock().expect("progress lock poisoned").1 = true;
-            progress_signal.notify_all();
-        };
-        while let Ok(task) = task_receiver.recv() {
-            match task {
-                Ok(task) if first_error.is_none() => {
-                    reorder.insert(task.position, task);
-                    while let Some(ready) = reorder.remove(&next_position) {
-                        if let Err(error) = consume(
-                            ready.position,
-                            ready.worker,
-                            ready.selector,
-                            ready.eval_wall_seconds,
-                        ) {
-                            cancel(&mut first_error, error);
-                            reorder.clear();
-                            break;
-                        }
-                        next_position += 1;
-                        progress.lock().expect("progress lock poisoned").0 = next_position;
-                        progress_signal.notify_all();
+        let _abort = abort_on_unwind();
+        let mut state = lock();
+        while first_error.is_none() && state.consumed < count && !state.aborted {
+            let position = state.consumed;
+            if let Some(task) = state.reorder.remove(&position) {
+                drop(state);
+                let consumed = task.and_then(|task| {
+                    consume(position, task.worker, task.selector, task.eval_wall_seconds)
+                });
+                state = lock();
+                match consumed {
+                    Ok(()) => state.consumed += 1,
+                    Err(error) => {
+                        first_error = Some(error);
+                        state.cancelled = true;
                     }
                 }
-                Ok(_) => {}
-                Err(error) => {
-                    cancel(&mut first_error, error);
-                    reorder.clear();
-                }
+                notify();
+            } else if claimable(&state) {
+                state = evaluate_next(state, 0);
+            } else {
+                // Position `consumed` is claimed by a helper (the caller
+                // files its own results before coming back here); should
+                // that helper panic, the scope's join re-raises it.
+                state = wait(state);
             }
         }
-        debug_assert!(first_error.is_some() || next_position == count);
     });
-
-    match first_error {
-        Some(error) => Err(error),
-        None => Ok(()),
-    }
+    first_error.map_or(Ok(()), Err)
 }
 
 /// Processes a batch of query shares on any [`BatchExecutor`] following the
-/// Figure-8 pipeline: worker threads evaluate ahead (through the backend's
-/// borrow-free [`SelectorEvaluator`]) while the calling thread launches
-/// each completed wave's scan on the backend.
+/// Figure-8 pipeline: helper workers evaluate ahead (through the backend's
+/// borrow-free [`SelectorEvaluator`]) while the calling thread — itself
+/// worker 0 — launches each completed wave's scan on the backend.
 ///
 /// Responses are returned in the same order as `shares`.
 ///
@@ -702,26 +718,6 @@ mod tests {
     }
 
     #[test]
-    fn tight_admission_queue_applies_backpressure_without_changing_results() {
-        let (db, mut s1, mut s2, mut client) =
-            setup(200, 8, ImPirConfig::tiny_test(4).with_clusters(2));
-        let indices: Vec<u64> = (0..24).map(|i| i * 7 % 200).collect();
-        let (shares_1, shares_2) = client.generate_batch(&indices).unwrap();
-        // A single-slot queue forces the workers to hand off one evaluated
-        // query at a time.
-        let tight = BatchConfig::with_workers_and_queue(4, 1).unwrap();
-        let roomy = BatchConfig::with_workers_and_queue(4, 64).unwrap();
-        let outcome_tight = process_batch(&mut s1, &shares_1, &tight).unwrap();
-        let outcome_roomy = process_batch(&mut s2, &shares_2, &roomy).unwrap();
-        for (i, index) in indices.iter().enumerate() {
-            let record = client
-                .reconstruct(&outcome_tight.responses[i], &outcome_roomy.responses[i])
-                .unwrap();
-            assert_eq!(record, db.record(*index));
-        }
-    }
-
-    #[test]
     fn generic_pipeline_drives_cpu_and_streaming_backends() {
         let db = Arc::new(Database::random(300, 16, 4).unwrap());
         let mut client = PirClient::new(300, 16, 2).unwrap();
@@ -747,18 +743,41 @@ mod tests {
     }
 
     #[test]
-    fn domain_mismatch_errors_do_not_wedge_the_pipeline() {
-        let (_, mut s1, _, _) = setup(64, 8, ImPirConfig::tiny_test(2));
-        let mut wrong_client = PirClient::new(1 << 20, 8, 0).unwrap();
-        let indices: Vec<u64> = (0..16).collect();
-        let (shares, _) = wrong_client.generate_batch(&indices).unwrap();
-        // Every evaluation fails; the pipeline must drain and report the
-        // error instead of deadlocking on the admission queue.
-        let config = BatchConfig::with_workers_and_queue(4, 1).unwrap();
-        assert!(matches!(
-            process_batch(&mut s1, &shares, &config),
-            Err(PirError::QueryDomainMismatch { .. })
-        ));
+    fn a_panicking_stage_unwinds_the_pipeline_instead_of_wedging_it() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        // Two workers, so exactly one helper. Either it panics in its first
+        // evaluation (the caller holds its own until the helper got there),
+        // or the caller panics in `consume` while the helper is evaluating
+        // or asleep on the window; both must come back as a panic.
+        let config = BatchConfig::with_workers_and_queue(2, 1).unwrap();
+        let run = |panic_in_consume: bool| {
+            std::thread::spawn(move || {
+                let caller = std::thread::current().id();
+                let helper_evaluating = AtomicBool::new(false);
+                stream_selectors(
+                    64,
+                    &config,
+                    |_| {
+                        if std::thread::current().id() == caller {
+                            while !helper_evaluating.load(Ordering::SeqCst) {
+                                std::thread::yield_now();
+                            }
+                        } else {
+                            helper_evaluating.store(true, Ordering::SeqCst);
+                            assert!(panic_in_consume, "injected helper panic");
+                        }
+                        Ok(SelectorVector::zeros(8))
+                    },
+                    |position, _, _, _| {
+                        assert!(!panic_in_consume || position < 8, "injected consume panic");
+                        Ok(())
+                    },
+                )
+            })
+            .join()
+        };
+        assert!(run(true).is_err(), "a consume panic reaches the caller");
+        assert!(run(false).is_err(), "a helper panic reaches the caller");
     }
 
     #[test]

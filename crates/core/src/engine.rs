@@ -6,13 +6,12 @@
 //! (PIM, CPU, streaming, or any future backend), and drives the paper's
 //! §3.4 batch pipeline across them:
 //!
-//! 1. **evaluation stage** — worker threads expand each query's DPF key
-//!    over the *full* record domain, feeding a bounded admission queue
+//! 1. **evaluation stage** — workers expand each query's DPF key over the
+//!    *full* record domain inside a bounded admission window
 //!    (backpressure, see [`crate::batch`]);
 //! 2. **shard fan-out** — every shard receives the slice of each selector
 //!    covering its record range and scans it in waves of its backend's
-//!    [`BatchExecutor::wave_width`], all shards in parallel on their own
-//!    threads;
+//!    [`BatchExecutor::wave_width`], all shards in parallel;
 //! 3. **merge** — because the PIR answer is a XOR over selected records,
 //!    the engine XORs the per-shard payloads into the final response;
 //!    shard [`PhaseBreakdown`]s combine as a critical path (the shards ran
@@ -156,8 +155,8 @@ pub(crate) fn validate_eval_strategy(strategy: &EvalStrategy) -> Result<(), PirE
     Ok(())
 }
 
-/// What one shard's scan thread produces: the per-query XOR payloads plus
-/// the shard's phase accounting.
+/// What one shard's scan produces: the per-query XOR payloads plus the
+/// shard's phase accounting.
 type ShardScanResult = Result<(Vec<Vec<u8>>, PhaseBreakdown), PirError>;
 
 /// One shard: a backend plus the record range it answers for.
@@ -577,6 +576,10 @@ impl<S: BatchExecutor + Send + Sync> QueryEngine<S> {
     /// worker-stage evaluation with backpressure, per-shard wave fan-out,
     /// XOR merge. Responses are returned in the same order as `shares`.
     ///
+    /// The calling thread is evaluation worker 0, drives shard 0's scans
+    /// and merges; only `min(worker_threads, shares) − 1` evaluation
+    /// helpers and one driver per *further* shard are spawned.
+    ///
     /// # Errors
     ///
     /// Returns [`PirError::QueryDomainMismatch`] for keys not covering the
@@ -594,20 +597,23 @@ impl<S: BatchExecutor + Send + Sync> QueryEngine<S> {
             self.check_domain(share)?;
         }
 
-        // The borrow-free, engine-lived evaluator lets the worker stage run
-        // while the shard threads hold the backends mutably — and carries
-        // its warmed scratch pool from batch to batch.
+        // The borrow-free, engine-lived evaluator lets the helper workers
+        // run while the shard consumers hold the backends mutably — and
+        // carries its warmed scratch pool from batch to batch.
         let evaluator = &self.evaluator.0;
         let pipeline = self.config.pipeline;
         let count = shares.len();
 
-        // Stages 1+2, overlapped: worker threads evaluate full-domain
-        // selectors behind the bounded admission queue; as each selector
-        // completes (in query order) it is sliced per shard and pushed into
-        // that shard's bounded channel, where the shard thread scans it in
-        // waves of its backend's width. When a shard falls behind, its
-        // channel fills and the evaluation stage blocks — backpressure end
-        // to end.
+        // Stages 1+2, overlapped: the pipeline's workers (this thread is
+        // worker 0) evaluate full-domain selectors inside the bounded
+        // admission window; each selector, as it completes (in query
+        // order), is handed to every shard's consumer, which slices its own
+        // record range and scans in waves of its backend's width. This
+        // thread drives shard 0's consumer inline; shards 1.. are driven by
+        // one scoped thread each from a bounded feed. When a shard falls
+        // behind, its feed fills and the evaluation stage blocks —
+        // backpressure end to end. A single shard has no feed and no
+        // thread: with one share, the whole batch runs right here.
         //
         // The stage-1 workers run concurrently, so the eval phase is the
         // critical path across their per-worker wall-time sums — summing
@@ -615,38 +621,57 @@ impl<S: BatchExecutor + Send + Sync> QueryEngine<S> {
         // batch's own wall time.
         let mut worker_eval: Vec<PhaseTime> =
             vec![PhaseTime::zero(); pipeline.worker_threads.max(1)];
+        let (first, rest) = self
+            .shards
+            .split_first_mut()
+            .expect("an engine has at least one shard");
         let (pipeline_result, shard_results): (Result<(), PirError>, Vec<ShardScanResult>) =
             std::thread::scope(|scope| {
-                let mut feeds = Vec::with_capacity(self.shards.len());
-                let mut handles = Vec::with_capacity(self.shards.len());
-                for shard in self.shards.iter_mut() {
+                let mut feeds = Vec::with_capacity(rest.len());
+                let mut handles = Vec::with_capacity(rest.len());
+                for shard in rest {
                     let (sender, receiver) =
                         crossbeam::channel::bounded::<Arc<SelectorVector>>(pipeline.queue_depth);
                     feeds.push(sender);
-                    handles.push(scope.spawn(move || shard_consume(shard, &receiver, count)));
+                    handles.push(scope.spawn(move || {
+                        // An early close (upstream error) returns the
+                        // payloads scanned so far; the pipeline's error
+                        // takes precedence.
+                        let mut consumer = ShardConsumer::new(shard, count);
+                        while let Ok(selector) = receiver.recv() {
+                            consumer.push(&selector)?;
+                        }
+                        Ok(consumer.finish())
+                    }));
                 }
+                let mut consumer = ShardConsumer::new(first, count);
                 let pipeline_result = crate::batch::stream_selectors(
                     count,
                     &pipeline,
                     |position| evaluator(&shares[position]),
                     |_, worker, selector, eval_wall_seconds| {
                         worker_eval[worker].merge(&PhaseTime::host(eval_wall_seconds));
-                        // Each shard slices its own record range on its own
-                        // thread; the scheduler only hands out the shared
-                        // full-domain selector. A dropped receiver means
-                        // that shard errored; its result carries the real
-                        // failure.
+                        if feeds.is_empty() {
+                            return consumer.push(&selector);
+                        }
+                        // The other shards get the shared selector first, so
+                        // they scan while this thread scans shard 0. A
+                        // dropped receiver means that shard errored; its
+                        // result carries the real failure.
                         let selector = Arc::new(selector);
                         for sender in &feeds {
                             let _ = sender.send(Arc::clone(&selector));
                         }
-                        Ok(())
+                        consumer.push(&selector)
                     },
                 );
                 drop(feeds);
-                let shard_results = handles
-                    .into_iter()
-                    .map(|handle| handle.join().expect("shard worker panicked"))
+                let shard_results = std::iter::once(Ok(consumer.finish()))
+                    .chain(
+                        handles
+                            .into_iter()
+                            .map(|handle| handle.join().expect("shard driver panicked")),
+                    )
                     .collect();
                 (pipeline_result, shard_results)
             });
@@ -723,19 +748,10 @@ impl<S: BatchExecutor + Send + Sync> QueryEngine<S> {
         }
         let mut payload = vec![0u8; self.record_size];
         let mut phases = PhaseBreakdown::zero();
-        let shard_results: Vec<ShardScanResult> = std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .shards
-                .iter_mut()
-                .map(|shard| {
-                    let selectors = std::slice::from_ref(selector);
-                    scope.spawn(move || shard_scan(shard, selectors))
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|handle| handle.join().expect("shard worker panicked"))
-                .collect()
+        let shard_results = impir_dpf::fan_out(self.shards.iter_mut(), |shard| {
+            let mut consumer = ShardConsumer::new(shard, 1);
+            consumer.push(selector)?;
+            Ok::<_, PirError>(consumer.finish())
         });
         for result in shard_results {
             let (shard_payloads, shard_phases) = result?;
@@ -807,27 +823,17 @@ impl<S: UpdatableBackend + Send + Sync> QueryEngine<S> {
             let local = index - self.shards[shard].start;
             per_shard[shard].push((local, bytes.clone()));
         }
-        // Fan out: each shard's backend updates on its own thread (disjoint
-        // simulated hardware), mirroring how the engine scans.
-        let results: Vec<Result<Option<UpdateOutcome>, PirError>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = self
-                .shards
-                .iter_mut()
-                .zip(&per_shard)
-                .map(|(shard, shard_updates)| {
-                    scope.spawn(move || {
-                        if shard_updates.is_empty() {
-                            return Ok(None);
-                        }
-                        shard.backend.apply_updates(shard_updates).map(Some)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|handle| handle.join().expect("shard update worker panicked"))
-                .collect()
-        });
+        // Fan out: the shards' backends update concurrently (disjoint
+        // simulated hardware), the last one on this thread.
+        let results = impir_dpf::fan_out(
+            self.shards.iter_mut().zip(&per_shard),
+            |(shard, shard_updates)| {
+                if shard_updates.is_empty() {
+                    return Ok(None);
+                }
+                shard.backend.apply_updates(shard_updates).map(Some)
+            },
+        );
         let mut bytes_pushed = 0u64;
         let mut simulated_seconds = 0.0f64;
         for result in results {
@@ -1021,62 +1027,54 @@ impl<S: UpdatableBackend + Send + Sync> QueryEngine<S> {
     }
 }
 
-/// The receiving half of the pipelined shard fan-out: consumes the shared
-/// full-domain selectors from this shard's bounded channel (in query
-/// order), slices out its own record range on this thread — so slicing
-/// parallelises across shards instead of serialising on the scheduler —
-/// and scans in waves of the backend's width while the evaluation stage
-/// keeps producing. Expects exactly `expected` selectors; an early channel
-/// close (upstream error) returns the payloads scanned so far — the
-/// caller's pipeline error takes precedence.
-fn shard_consume<S: BatchExecutor>(
-    shard: &mut EngineShard<S>,
-    receiver: &crossbeam::channel::Receiver<Arc<SelectorVector>>,
+/// One shard's push-style selector consumer — the single body behind every
+/// shard scan, whoever drives it (the calling thread inline for shard 0, a
+/// scoped thread reading a bounded feed for shards 1..): slices the
+/// shard's record range out of each full-domain selector pushed (in query
+/// order) and scans in waves of the backend's width, or at the batch's
+/// tail.
+struct ShardConsumer<'a, S> {
+    shard: &'a mut EngineShard<S>,
+    width: usize,
     expected: usize,
-) -> ShardScanResult {
-    let width = shard.backend.wave_width().max(1);
-    let start = shard.start as usize;
-    let records = shard.records as usize;
-    let mut payloads = Vec::with_capacity(expected);
-    let mut phases = PhaseBreakdown::zero();
-    let mut wave: Vec<SelectorVector> = Vec::with_capacity(width);
-    while let Ok(selector) = receiver.recv() {
-        wave.push(selector.slice(start, records));
-        if wave.len() == width || payloads.len() + wave.len() == expected {
-            let refs: Vec<&SelectorVector> = wave.iter().collect();
-            let (wave_payloads, wave_phases) = shard.backend.execute_wave(&refs)?;
-            debug_assert_eq!(wave_payloads.len(), wave.len());
-            phases.merge(&wave_phases);
-            payloads.extend(wave_payloads);
-            wave.clear();
-        }
-    }
-    Ok((payloads, phases))
+    wave: Vec<SelectorVector>,
+    payloads: Vec<Vec<u8>>,
+    phases: PhaseBreakdown,
 }
 
-/// Scans every selector's slice for one shard, in waves of the backend's
-/// width.
-fn shard_scan<S: BatchExecutor>(
-    shard: &mut EngineShard<S>,
-    selectors: &[SelectorVector],
-) -> ShardScanResult {
-    let start = shard.start as usize;
-    let count = shard.records as usize;
-    let sliced: Vec<SelectorVector> = selectors
-        .iter()
-        .map(|selector| selector.slice(start, count))
-        .collect();
-    let width = shard.backend.wave_width().max(1);
-    let mut payloads = Vec::with_capacity(sliced.len());
-    let mut phases = PhaseBreakdown::zero();
-    for wave in sliced.chunks(width) {
-        let refs: Vec<&SelectorVector> = wave.iter().collect();
-        let (wave_payloads, wave_phases) = shard.backend.execute_wave(&refs)?;
-        debug_assert_eq!(wave_payloads.len(), wave.len());
-        phases.merge(&wave_phases);
-        payloads.extend(wave_payloads);
+impl<'a, S: BatchExecutor> ShardConsumer<'a, S> {
+    /// A consumer that will be pushed exactly `expected` selectors.
+    fn new(shard: &'a mut EngineShard<S>, expected: usize) -> Self {
+        let width = shard.backend.wave_width().max(1);
+        ShardConsumer {
+            shard,
+            width,
+            expected,
+            wave: Vec::with_capacity(width),
+            payloads: Vec::with_capacity(expected),
+            phases: PhaseBreakdown::zero(),
+        }
     }
-    Ok((payloads, phases))
+
+    fn push(&mut self, selector: &SelectorVector) -> Result<(), PirError> {
+        let (start, records) = (self.shard.start as usize, self.shard.records as usize);
+        self.wave.push(selector.slice(start, records));
+        if self.wave.len() == self.width || self.payloads.len() + self.wave.len() == self.expected {
+            let refs: Vec<&SelectorVector> = self.wave.iter().collect();
+            let (wave_payloads, wave_phases) = self.shard.backend.execute_wave(&refs)?;
+            debug_assert_eq!(wave_payloads.len(), self.wave.len());
+            self.phases.merge(&wave_phases);
+            self.payloads.extend(wave_payloads);
+            self.wave.clear();
+        }
+        Ok(())
+    }
+
+    /// The per-query XOR payloads scanned so far, plus the shard's phase
+    /// accounting.
+    fn finish(self) -> (Vec<Vec<u8>>, PhaseBreakdown) {
+        (self.payloads, self.phases)
+    }
 }
 
 /// `⌈log2(num_records)⌉`, at least 1 — the DPF domain the engine expects
@@ -1821,5 +1819,281 @@ mod tests {
         // Predictions scale linearly with the shard's record count.
         assert!((after[0] - before[0] * 240.0 / 300.0).abs() < 1e-12);
         assert!((after[1] - before[1] * 160.0 / 100.0).abs() < 1e-12);
+    }
+
+    // ---- who runs what: the pipeline observed from inside its stages ----
+
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::{Condvar, Mutex};
+    use std::thread::ThreadId;
+
+    /// What the probed stages record — the thread of every evaluation and
+    /// of every shard wave, and how many evaluated selectors shard 0 (the
+    /// in-order consumption point) has not scanned yet — and the faults
+    /// they inject.
+    #[derive(Default)]
+    struct Probe {
+        eval_threads: Mutex<Vec<ThreadId>>,
+        /// Evaluations block until this many distinct threads have
+        /// evaluated (forces the interleaving instead of hoping for it).
+        eval_rendezvous: usize,
+        evaluating: Condvar,
+        wave_threads: Mutex<Vec<(usize, ThreadId)>>,
+        live: AtomicUsize,
+        peak_live: AtomicUsize,
+        /// Evaluations of positions at or past this one fail.
+        fail_eval_from: Option<u64>,
+        /// `(shard, n)`: that shard's wave holding its `n`-th selector fails.
+        fail_wave: Option<(usize, usize)>,
+    }
+
+    fn injected_fault() -> PirError {
+        PirError::Config {
+            reason: "injected fault".to_string(),
+        }
+    }
+
+    fn distinct(threads: &[ThreadId]) -> usize {
+        threads
+            .iter()
+            .collect::<std::collections::HashSet<_>>()
+            .len()
+    }
+
+    impl Probe {
+        fn evaluate(
+            &self,
+            inner: &SelectorEvaluator,
+            share: &QueryShare,
+        ) -> Result<SelectorVector, PirError> {
+            let mut threads = self.eval_threads.lock().unwrap();
+            threads.push(std::thread::current().id());
+            self.evaluating.notify_all();
+            let (threads, _) = self
+                .evaluating
+                .wait_timeout_while(threads, std::time::Duration::from_secs(10), |threads| {
+                    distinct(threads) < self.eval_rendezvous
+                })
+                .unwrap();
+            drop(threads);
+            if self
+                .fail_eval_from
+                .is_some_and(|from| share.query_id >= from)
+            {
+                return Err(injected_fault());
+            }
+            let selector = inner(share)?;
+            let live = self.live.fetch_add(1, Ordering::SeqCst) + 1;
+            self.peak_live.fetch_max(live, Ordering::SeqCst);
+            Ok(selector)
+        }
+    }
+
+    /// A CPU backend reporting every wave to a [`Probe`].
+    struct ProbedBackend {
+        inner: CpuPirServer,
+        shard: usize,
+        width: usize,
+        scanned: usize,
+        probe: Arc<Probe>,
+    }
+
+    impl crate::server::PirServer for ProbedBackend {
+        fn num_records(&self) -> u64 {
+            self.inner.num_records()
+        }
+
+        fn record_size(&self) -> usize {
+            self.inner.record_size()
+        }
+
+        fn process_query(
+            &mut self,
+            share: &QueryShare,
+        ) -> Result<(ServerResponse, PhaseBreakdown), PirError> {
+            self.inner.process_query(share)
+        }
+    }
+
+    impl BatchExecutor for ProbedBackend {
+        fn evaluate_selector(&self, share: &QueryShare) -> Result<SelectorVector, PirError> {
+            self.inner.evaluate_selector(share)
+        }
+
+        fn selector_evaluator(&self) -> SelectorEvaluator {
+            self.inner.selector_evaluator()
+        }
+
+        fn wave_width(&self) -> usize {
+            self.width
+        }
+
+        fn execute_wave(
+            &mut self,
+            selectors: &[&SelectorVector],
+        ) -> Result<(Vec<Vec<u8>>, PhaseBreakdown), PirError> {
+            let thread = std::thread::current().id();
+            self.probe
+                .wave_threads
+                .lock()
+                .unwrap()
+                .push((self.shard, thread));
+            if self.shard == 0 {
+                self.probe.live.fetch_sub(selectors.len(), Ordering::SeqCst);
+            }
+            let wave = self.scanned..self.scanned + selectors.len();
+            self.scanned = wave.end;
+            if matches!(self.probe.fail_wave, Some((shard, n)) if shard == self.shard && wave.contains(&n))
+            {
+                return Err(injected_fault());
+            }
+            self.inner.execute_wave(selectors)
+        }
+    }
+
+    /// An engine over `db` whose evaluator and shard backends all report to
+    /// `probe`.
+    fn probed_engine(
+        db: &Arc<Database>,
+        shards: usize,
+        pipeline: BatchConfig,
+        width: usize,
+        probe: &Arc<Probe>,
+    ) -> QueryEngine<ProbedBackend> {
+        let sharded = ShardedDatabase::uniform(db.clone(), shards).unwrap();
+        let config = EngineConfig::new(pipeline, EvalStrategy::LevelByLevel).unwrap();
+        let mut engine = QueryEngine::sharded(&sharded, config, |shard_db, shard| {
+            Ok(ProbedBackend {
+                inner: CpuPirServer::new(shard_db, CpuServerConfig::baseline())?,
+                shard,
+                width,
+                scanned: 0,
+                probe: Arc::clone(probe),
+            })
+        })
+        .unwrap();
+        let EngineEvaluator(inner) = strategy_evaluator(config.eval_strategy, db.num_records());
+        let probe = Arc::clone(probe);
+        engine.evaluator = EngineEvaluator(Box::new(move |share| probe.evaluate(&inner, share)));
+        engine
+    }
+
+    fn probe_shares(db: &Arc<Database>, count: usize) -> Vec<QueryShare> {
+        let mut client = PirClient::new(db.num_records(), db.record_size(), 5).unwrap();
+        let indices: Vec<u64> = (0..count as u64)
+            .map(|i| (i * 37 + 11) % db.num_records())
+            .collect();
+        client.generate_batch(&indices).unwrap().0
+    }
+
+    #[test]
+    fn a_one_share_batch_on_one_shard_never_leaves_the_calling_thread() {
+        let db = Arc::new(Database::random(100, 8, 3).unwrap());
+        let probe = Arc::new(Probe::default());
+        // Four workers configured: helpers are sized by the batch, not the knob.
+        let pipeline = BatchConfig::with_workers(4).unwrap();
+        let mut engine = probed_engine(&db, 1, pipeline, 2, &probe);
+        let outcome = engine.execute_batch(&probe_shares(&db, 1)).unwrap();
+        assert_eq!(outcome.responses.len(), 1);
+        // Evaluate and the wave ran here; the merge is straight-line code
+        // of `execute_batch` itself, so it can run nowhere else.
+        let caller = std::thread::current().id();
+        assert_eq!(*probe.eval_threads.lock().unwrap(), vec![caller]);
+        assert_eq!(*probe.wave_threads.lock().unwrap(), vec![(0, caller)]);
+    }
+
+    #[test]
+    fn two_workers_evaluate_on_the_caller_and_exactly_one_helper() {
+        let db = Arc::new(Database::random(100, 8, 3).unwrap());
+        let probe = Arc::new(Probe {
+            eval_rendezvous: 2,
+            ..Probe::default()
+        });
+        let pipeline = BatchConfig::with_workers(2).unwrap();
+        let mut engine = probed_engine(&db, 1, pipeline, 1, &probe);
+        engine.execute_batch(&probe_shares(&db, 4)).unwrap();
+        let threads = probe.eval_threads.lock().unwrap();
+        assert_eq!(threads.len(), 4);
+        assert_eq!(distinct(&threads), 2, "the caller plus one helper");
+        assert!(threads.contains(&std::thread::current().id()));
+    }
+
+    #[test]
+    fn shard_zero_scans_on_the_caller_and_the_other_shards_elsewhere() {
+        let db = Arc::new(Database::random(100, 8, 3).unwrap());
+        let probe = Arc::new(Probe::default());
+        let pipeline = BatchConfig::with_workers(2).unwrap();
+        let mut engine = probed_engine(&db, 3, pipeline, 2, &probe);
+        engine.execute_batch(&probe_shares(&db, 5)).unwrap();
+        let caller = std::thread::current().id();
+        let waves = probe.wave_threads.lock().unwrap();
+        for shard in 0..3 {
+            let threads: Vec<ThreadId> = waves
+                .iter()
+                .filter(|(s, _)| *s == shard)
+                .map(|(_, thread)| *thread)
+                .collect();
+            assert_eq!(threads.len(), 3, "5 selectors in waves of 2");
+            assert_eq!(distinct(&threads), 1, "one driver per shard");
+            assert_eq!(threads[0] == caller, shard == 0, "shard {shard}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The whole pipeline against a sequential oracle, over every
+        /// shape it can take: responses byte-identical, never more live
+        /// selectors than the admission window allows, and a fault —
+        /// wherever it strikes — comes back as that error instead of a
+        /// wedged thread. (`queue_depth = 1` under four workers is the
+        /// tight-backpressure case; `fault_at = 0` in evaluate is the
+        /// every-evaluation-fails case.)
+        #[test]
+        fn prop_pipeline_matches_a_sequential_oracle_inside_its_window(
+            count in 0usize..40,
+            worker_threads in 1usize..=4,
+            queue_depth in 1usize..=4,
+            shards in 1usize..=3,
+            width in 1usize..=2,
+            // 0: no fault; 1: evaluate, from `fault_at` on; 2..: the wave
+            // of shard `fault_site - 2` holding its `fault_at`-th selector.
+            fault_site in 0usize..5,
+            fault_at in 0usize..40,
+        ) {
+            let db = Arc::new(Database::random(100, 8, 3).unwrap());
+            let probe = Arc::new(Probe {
+                fail_eval_from: (fault_site == 1).then_some(fault_at as u64),
+                fail_wave: (fault_site >= 2).then(|| (fault_site - 2, fault_at)),
+                ..Probe::default()
+            });
+            let faulted = fault_at < count
+                && (fault_site == 1 || (2..2 + shards).contains(&fault_site));
+            let pipeline = BatchConfig::with_workers_and_queue(worker_threads, queue_depth).unwrap();
+            let mut engine = probed_engine(&db, shards, pipeline, width, &probe);
+            let shares = probe_shares(&db, count);
+
+            let result = engine.execute_batch(&shares);
+
+            if faulted {
+                prop_assert_eq!(result.err(), Some(injected_fault()));
+            } else {
+                let mut oracle = CpuPirServer::new(db.clone(), CpuServerConfig::baseline()).unwrap();
+                let responses = result.unwrap().responses;
+                prop_assert_eq!(responses.len(), count);
+                for (share, response) in shares.iter().zip(&responses) {
+                    use crate::server::PirServer;
+                    prop_assert_eq!(response, &oracle.process_query(share).unwrap().0);
+                }
+            }
+            // Claimed-but-unconsumed positions never exceed the window;
+            // shard 0 may hold `width − 1` consumed slices in its open wave.
+            let bound = queue_depth + worker_threads + width - 1;
+            prop_assert!(
+                probe.peak_live.load(Ordering::SeqCst) <= bound,
+                "{} live selectors, bound {bound}",
+                probe.peak_live.load(Ordering::SeqCst)
+            );
+        }
     }
 }

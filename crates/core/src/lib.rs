@@ -51,10 +51,11 @@
 //!   in `tests/fault_recovery.rs`.
 //! * **engine** — [`engine::QueryEngine`] owns a [`shard::ShardedDatabase`]
 //!   (contiguous record-range shards under a [`shard::ShardPlan`]) and
-//!   drives the §3.4 batch pipeline: worker threads evaluate DPF keys over
-//!   the full domain behind a bounded admission queue (backpressure), each
+//!   drives the §3.4 batch pipeline: workers evaluate DPF keys over the
+//!   full domain inside a bounded admission window (backpressure), each
 //!   shard scans its slice of every selector in parallel, and the
-//!   XOR-linear merge reassembles responses with per-phase accounting.
+//!   XOR-linear merge reassembles responses with per-phase accounting —
+//!   the caller is worker 0 and shard 0, the rest are N−1 helpers.
 //!   Every deployment in the workspace — [`scheme::TwoServerPir`],
 //!   [`multi_server::NServerNaivePir`], the baselines and the benchmark
 //!   harness — executes through this one layer.

@@ -6,8 +6,8 @@
 //! designed to avoid. With `scan_threads = 1` it matches the paper's
 //! CPU-PIR baseline configuration ("a single CPU thread for each query,
 //! accelerated with AVX"); with more threads one query's scan fans
-//! record-range chunks out over real `std::thread::scope` workers (per-chunk
-//! accumulators XOR-merged at the end), an upper bound on what a
+//! record-range chunks out over real threads (per-chunk accumulators
+//! XOR-merged at the end), an upper bound on what a
 //! processor-centric server can do. The scan itself runs whichever
 //! [`crate::dpxor::ScanKernel`] the config selects — by default the fastest
 //! one for this host ([`crate::dpxor::best_kernel`]).
@@ -31,8 +31,8 @@ pub struct CpuServerConfig {
     pub eval_strategy: EvalStrategy,
     /// Number of threads used for the `dpXOR` scan of one query
     /// (1 = the paper's baseline configuration). With more than one, the
-    /// scan fans record-range chunks out over real `std::thread::scope`
-    /// workers and XOR-merges the per-chunk accumulators.
+    /// scan fans record-range chunks out over real threads (the calling
+    /// thread is one of them) and XOR-merges the per-chunk accumulators.
     pub scan_threads: usize,
     /// Which [`dpxor::ScanKernel`] the scan runs — [`KernelChoice::Auto`]
     /// self-benchmarks once per process ([`dpxor::best_kernel`]); the other
@@ -200,62 +200,37 @@ impl CpuPirServer {
 
     /// The `dpXOR` scan over the full database with `scan_threads` threads.
     ///
-    /// With one thread the configured kernel scans the whole replica in
-    /// place; with more, record-range chunks fan out over real
-    /// `std::thread::scope` workers (exactly like the engine's shard
-    /// fan-out) and the per-chunk accumulators are XOR-merged at the end —
-    /// XOR-linearity makes the split invisible in the result. Chunk
-    /// boundaries are rounded up to 64-record multiples so every worker's
-    /// selector slice is word-aligned (a pure sub-slice of the packed
-    /// selector words, no bit shifting).
+    /// Record-range chunks fan out over `scan_threads` workers — the
+    /// calling thread is the last of them ([`impir_dpf::fan_out`]), so the
+    /// baseline's single-threaded scan runs right here — and the per-chunk
+    /// accumulators are XOR-merged at the end; XOR-linearity makes the
+    /// split invisible in the result. Chunk boundaries are rounded up to
+    /// 64-record multiples so every worker's selector slice is word-aligned
+    /// (a pure sub-slice of the packed selector words, no bit shifting).
     fn scan(&self, selector: &SelectorVector) -> Vec<u8> {
         let record_size = self.database.record_size();
         let num_records = self.database.num_records() as usize;
         let kernel = self.config.scan_kernel.resolve();
         let threads = self.config.scan_threads.min(num_records.max(1));
-        if threads <= 1 {
-            let mut accumulator = vec![0u8; record_size];
-            self.scan_scratches.with(|acc_words| {
-                kernel.xor_select(
-                    self.database.as_bytes(),
-                    record_size,
-                    selector,
-                    &mut accumulator,
-                    acc_words,
-                );
-            });
-            return accumulator;
-        }
         let per_thread = num_records.div_ceil(threads).next_multiple_of(64);
-        let partials: Vec<Vec<u8>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|thread| {
-                    scope.spawn(move || {
-                        let start = thread * per_thread;
-                        if start >= num_records {
-                            return vec![0u8; record_size];
-                        }
-                        let count = per_thread.min(num_records - start);
-                        let chunk = self.database.record_chunk(start as u64, count as u64);
-                        let chunk_selector = selector.slice(start, count);
-                        let mut accumulator = vec![0u8; record_size];
-                        self.scan_scratches.with(|acc_words| {
-                            kernel.xor_select(
-                                chunk,
-                                record_size,
-                                &chunk_selector,
-                                &mut accumulator,
-                                acc_words,
-                            );
-                        });
-                        accumulator
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|handle| handle.join().expect("scan worker panicked"))
-                .collect()
+        let partials = impir_dpf::fan_out(0..threads, |thread| {
+            let mut accumulator = vec![0u8; record_size];
+            let start = thread * per_thread;
+            if start < num_records {
+                let count = per_thread.min(num_records - start);
+                let chunk = self.database.record_chunk(start as u64, count as u64);
+                let chunk_selector = selector.slice(start, count);
+                self.scan_scratches.with(|acc_words| {
+                    kernel.xor_select(
+                        chunk,
+                        record_size,
+                        &chunk_selector,
+                        &mut accumulator,
+                        acc_words,
+                    );
+                });
+            }
+            accumulator
         });
         dpxor::xor_reduce(&partials, record_size)
     }
@@ -340,21 +315,12 @@ impl crate::batch::BatchExecutor for CpuPirServer {
         selectors: &[&SelectorVector],
     ) -> Result<(Vec<Vec<u8>>, PhaseBreakdown), PirError> {
         let mut phases = PhaseBreakdown::zero();
-        // One scoped thread per wave slot (the wave width caps this at the
-        // host's parallelism); each slot's scan is timed on its own thread
-        // and the per-query dpXOR costs are summed, as the baseline's cost
-        // model expects.
-        let server: &CpuPirServer = self;
-        let timings: Vec<(Vec<u8>, f64)> = std::thread::scope(|scope| {
-            let handles: Vec<_> = selectors
-                .iter()
-                .map(|selector| scope.spawn(move || timed(|| server.scan(selector))))
-                .collect();
-            handles
-                .into_iter()
-                .map(|handle| handle.join().expect("scan worker panicked"))
-                .collect()
-        });
+        // The wave's slots scan concurrently — the last one on the calling
+        // thread, so a one-selector wave spawns nothing (the wave width
+        // caps the slots at the host's parallelism); each slot's scan is
+        // timed where it runs and the per-query dpXOR costs are summed, as
+        // the baseline's cost model expects.
+        let timings = impir_dpf::fan_out(selectors, |selector| timed(|| self.scan(selector)));
         let mut payloads = Vec::with_capacity(selectors.len());
         for (payload, dpxor_seconds) in timings {
             phases.dpxor.merge(&PhaseTime::host(dpxor_seconds));

@@ -53,7 +53,7 @@ pub use bitvec::SelectorVector;
 pub use error::DpfError;
 pub use eval::{BufferPool, EvalScratch, ScratchPool};
 pub use key::{CorrectionWord, DpfKey, PartyId};
-pub use parallel::{host_parallelism, EvalStrategy};
+pub use parallel::{fan_out, host_parallelism, EvalStrategy};
 
 /// Maximum supported domain size in bits.
 ///

@@ -29,10 +29,10 @@
 //!
 //! * [`EvalStrategy::eval_full`] / [`EvalStrategy::eval_range`] optimise
 //!   **single-query latency**: the subtree-parallel strategy fans its
-//!   perfect subtrees out over real `std::thread::scope` worker threads
-//!   (the vendored rayon shim is sequential, so data-parallel iterators
-//!   would not actually parallelise — see ROADMAP), each worker expanding
-//!   through its own scratch;
+//!   perfect subtrees out over real threads through [`fan_out`] (the
+//!   vendored rayon shim is sequential, so data-parallel iterators would
+//!   not actually parallelise — see ROADMAP), each worker — the calling
+//!   thread is the last of them — expanding through its own scratch;
 //! * [`EvalStrategy::eval_range_with_scratch`] optimises **steady-state
 //!   batch throughput**: it runs on the calling thread reusing one
 //!   caller-owned scratch, because the batch pipeline already runs one
@@ -59,16 +59,52 @@ pub const DEFAULT_CHUNK_BITS: u32 = 13;
 /// Number of hardware threads available to this process
 /// (`std::thread::available_parallelism`, 1 if unknown) — the single
 /// definition every thread-count default in the workspace derives from.
+/// Read once per process: the call is a `sched_getaffinity` plus cgroup
+/// file reads (≈14 µs), and query paths ask on every batch.
 ///
 /// The vendored rayon shim is sequential, so `rayon::current_num_threads`
 /// says nothing about real parallelism here; thread-level parallelism comes
-/// exclusively from explicit `std::thread::scope` fan-outs sized by this
-/// function.
+/// exclusively from [`fan_out`]s sized by this function.
 #[must_use]
 pub fn host_parallelism() -> usize {
-    std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1)
+    static HOST_PARALLELISM: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
+    *HOST_PARALLELISM.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(std::num::NonZeroUsize::get)
+            .unwrap_or(1)
+    })
+}
+
+/// The workspace's one fan-out rule: runs `run` over every item
+/// concurrently — N−1 scoped threads and **the last item on the calling
+/// thread** — and returns the results in item order. One item therefore
+/// costs no thread at all, and the caller is never an idle joiner.
+///
+/// # Panics
+///
+/// Propagates a panic from any `run` call once every helper has finished.
+pub fn fan_out<I, R, F>(items: I, run: F) -> Vec<R>
+where
+    I: IntoIterator,
+    I::Item: Send,
+    R: Send,
+    F: Fn(I::Item) -> R + Sync,
+{
+    let mut items: Vec<I::Item> = items.into_iter().collect();
+    let last = items.pop();
+    let run = &run;
+    std::thread::scope(|scope| {
+        let helpers: Vec<_> = items
+            .into_iter()
+            .map(|item| scope.spawn(move || run(item)))
+            .collect();
+        let last = last.map(run);
+        helpers
+            .into_iter()
+            .map(|helper| helper.join().expect("fan-out helper panicked"))
+            .chain(last)
+            .collect()
+    })
 }
 
 /// How a server expands a DPF key over the full database domain.
@@ -169,21 +205,10 @@ impl EvalStrategy {
             EvalStrategy::SubtreeParallel { threads } if threads > 1 && count > 1 => {
                 let workers = threads.min(count as usize);
                 let per_worker = count.div_ceil(workers as u64);
-                let parts: Vec<Result<SelectorVector, DpfError>> = std::thread::scope(|scope| {
-                    let handles: Vec<_> = (0..workers as u64)
-                        .map(|w| {
-                            scope.spawn(move || {
-                                let chunk_start = start + w * per_worker;
-                                let chunk_count =
-                                    per_worker.min(count.saturating_sub(w * per_worker));
-                                eval_range_with_prg(key, chunk_start, chunk_count, prg)
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|handle| handle.join().expect("range worker panicked"))
-                        .collect()
+                let parts = fan_out(0..workers as u64, |w| {
+                    let chunk_start = start + w * per_worker;
+                    let chunk_count = per_worker.min(count.saturating_sub(w * per_worker));
+                    eval_range_with_prg(key, chunk_start, chunk_count, prg)
                 });
                 let parts: Result<Vec<SelectorVector>, DpfError> = parts.into_iter().collect();
                 Ok(SelectorVector::concat(&parts?))
@@ -296,9 +321,10 @@ pub fn subtree_level(threads: usize, domain_bits: u32) -> u32 {
     level.min(domain_bits)
 }
 
-/// Subtree-parallel full-domain evaluation on real scoped threads: the
-/// master thread positions each perfect subtree's root, then at most
-/// `threads` worker threads split the subtrees among themselves (the
+/// Subtree-parallel full-domain evaluation on real threads: the master
+/// thread positions each perfect subtree's root, then at most `threads`
+/// workers — the master itself runs the last share ([`fan_out`]) — split
+/// the subtrees among themselves (the
 /// subtree count rounds `threads` up to a power of two, so a worker may
 /// expand two subtrees back to back through one [`EvalScratch`] — never
 /// more OS threads than the caller budgeted). The parts concatenate
@@ -318,29 +344,18 @@ fn eval_subtree_parallel(key: &DpfKey, threads: usize, prg: &LengthDoublingPrg) 
         })
         .collect();
 
-    // Worker threads: each expands its contiguous run of subtrees.
+    // Workers: each expands its contiguous run of subtrees.
     let workers = threads.min(subtree_count);
     let per_worker = subtree_count.div_ceil(workers);
     let subtree_leaves = 1usize << (key.domain_bits() - level);
-    let parts: Vec<SelectorVector> = std::thread::scope(|scope| {
-        let handles: Vec<_> = roots
-            .chunks(per_worker)
-            .map(|worker_roots| {
-                scope.spawn(move || {
-                    let mut scratch = EvalScratch::new();
-                    let mut part = SelectorVector::zeros(0);
-                    part.reserve_bits(worker_roots.len() * subtree_leaves);
-                    for state in worker_roots {
-                        expand_subtree_into(key, *state, level, prg, &mut scratch, &mut part);
-                    }
-                    part
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|handle| handle.join().expect("subtree worker panicked"))
-            .collect()
+    let parts = fan_out(roots.chunks(per_worker), |worker_roots| {
+        let mut scratch = EvalScratch::new();
+        let mut part = SelectorVector::zeros(0);
+        part.reserve_bits(worker_roots.len() * subtree_leaves);
+        for state in worker_roots {
+            expand_subtree_into(key, *state, level, prg, &mut scratch, &mut part);
+        }
+        part
     });
     SelectorVector::concat(&parts)
 }
@@ -371,6 +386,20 @@ mod tests {
     fn keypair(domain_bits: u32, alpha: u64, seed: u64) -> (DpfKey, DpfKey) {
         let mut rng = StdRng::seed_from_u64(seed);
         generate_keys(domain_bits, alpha, &mut rng).expect("valid parameters")
+    }
+
+    #[test]
+    fn fan_out_runs_the_last_item_on_the_caller_and_keeps_item_order() {
+        let caller = std::thread::current().id();
+        for items in 0..4usize {
+            let ran: Vec<(usize, std::thread::ThreadId)> =
+                fan_out(0..items, |item| (item, std::thread::current().id()));
+            assert_eq!(ran.len(), items);
+            for (position, (item, thread)) in ran.iter().enumerate() {
+                assert_eq!(*item, position);
+                assert_eq!(*thread == caller, position + 1 == items, "{items} items");
+            }
+        }
     }
 
     #[test]

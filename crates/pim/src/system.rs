@@ -36,6 +36,10 @@ pub struct PimSystem {
     cost: CostModel,
     dpus: Vec<Dpu>,
     report: ExecutionReport,
+    /// Host threads a launch may spread its DPUs over, read once here:
+    /// `available_parallelism` is a syscall plus cgroup file reads
+    /// (≈14 µs), and every query wave launches at least once.
+    host_workers: usize,
 }
 
 impl PimSystem {
@@ -57,6 +61,9 @@ impl PimSystem {
             config,
             dpus,
             report: ExecutionReport::default(),
+            host_workers: std::thread::available_parallelism()
+                .map(std::num::NonZeroUsize::get)
+                .unwrap_or(1),
         })
     }
 
@@ -230,11 +237,13 @@ impl PimSystem {
     ///
     /// Each DPU runs `tasklets_per_dpu` tasklet invocations (stage 1)
     /// followed by the master-tasklet reduction (stage 2). DPUs execute in
-    /// parallel on real host threads (`std::thread::scope` workers over
-    /// contiguous DPU chunks), mirroring hardware DPU-level parallelism;
-    /// results and meters come back in DPU id order regardless of worker
-    /// scheduling, and on error the lowest-id failing chunk wins, so the
-    /// fan-out is observationally identical to a sequential launch.
+    /// parallel on real host threads (contiguous DPU chunks, one scoped
+    /// thread each except the last, which runs on the calling thread — a
+    /// one-chunk launch spawns nothing), mirroring hardware DPU-level
+    /// parallelism; results and meters come back in DPU id order
+    /// regardless of worker scheduling, and on error the lowest-id failing
+    /// chunk wins, so the fan-out is observationally identical to a
+    /// sequential launch.
     ///
     /// Simulated time is unaffected by the host-side parallelism: the
     /// launch's modelled seconds remain the **critical path** over the
@@ -271,50 +280,34 @@ impl PimSystem {
             Ok((output, meter))
         };
 
-        let workers = std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1)
-            .min(selected.len())
-            .max(1);
-        let per_dpu: Vec<DpuRun<P::DpuOutput>> = if workers <= 1 {
-            selected
+        // Contiguous chunks keep the id→result mapping trivial; the
+        // per-chunk result vectors concatenate back in DPU order.
+        let chunk = selected.len().div_ceil(self.host_workers).max(1);
+        let run_chunk = |(worker, dpu_chunk): (usize, &mut [Dpu])| {
+            dpu_chunk
                 .iter_mut()
                 .enumerate()
-                .map(|(index, dpu)| run_dpu(range_start + index, dpu))
-                .collect::<Result<_, PimError>>()?
-        } else {
-            // Contiguous chunks keep the id→result mapping trivial; the
-            // per-chunk result vectors concatenate back in DPU order.
-            let chunk = selected.len().div_ceil(workers);
-            let chunk_results: Vec<Result<Vec<DpuRun<P::DpuOutput>>, PimError>> =
-                std::thread::scope(|scope| {
-                    let handles: Vec<_> = selected
-                        .chunks_mut(chunk)
-                        .enumerate()
-                        .map(|(worker, dpu_chunk)| {
-                            let run_dpu = &run_dpu;
-                            scope.spawn(move || {
-                                dpu_chunk
-                                    .iter_mut()
-                                    .enumerate()
-                                    .map(|(index, dpu)| {
-                                        run_dpu(range_start + worker * chunk + index, dpu)
-                                    })
-                                    .collect()
-                            })
-                        })
-                        .collect();
-                    handles
-                        .into_iter()
-                        .map(|handle| handle.join().expect("DPU launch worker panicked"))
-                        .collect()
-                });
-            let mut ordered = Vec::with_capacity(selected.len());
-            for chunk_result in chunk_results {
-                ordered.extend(chunk_result?);
-            }
-            ordered
+                .map(|(index, dpu)| run_dpu(range_start + worker * chunk + index, dpu))
+                .collect::<Result<Vec<DpuRun<P::DpuOutput>>, PimError>>()
         };
+        let mut chunks: Vec<_> = selected.chunks_mut(chunk).enumerate().collect();
+        let last = chunks.pop();
+        let mut per_dpu = Vec::with_capacity(dpus.len());
+        std::thread::scope(|scope| {
+            let helpers: Vec<_> = chunks
+                .into_iter()
+                .map(|dpu_chunk| scope.spawn(|| run_chunk(dpu_chunk)))
+                .collect();
+            let last = last.map(run_chunk);
+            for chunk_result in helpers
+                .into_iter()
+                .map(|helper| helper.join().expect("DPU launch worker panicked"))
+                .chain(last)
+            {
+                per_dpu.extend(chunk_result?);
+            }
+            Ok::<(), PimError>(())
+        })?;
 
         let (results, meters): (Vec<_>, Vec<_>) = per_dpu.into_iter().unzip();
         let simulated_seconds = self.cost.launch_seconds(&meters);
@@ -524,6 +517,41 @@ mod tests {
             outcome.simulated_seconds - system.config().launch_latency_sec < summed / 2.0,
             "critical path must not degenerate into a sum across 37 DPUs"
         );
+    }
+
+    /// Reports which host thread ran each DPU.
+    struct WhoRanMe;
+
+    impl DpuProgram for WhoRanMe {
+        type TaskletOutput = ();
+        type DpuOutput = std::thread::ThreadId;
+
+        fn run_tasklet(&self, _ctx: &mut TaskletContext<'_>) -> Result<(), PimError> {
+            Ok(())
+        }
+
+        fn reduce(
+            &self,
+            _ctx: &mut DpuContext<'_>,
+            _partials: Vec<()>,
+        ) -> Result<std::thread::ThreadId, PimError> {
+            Ok(std::thread::current().id())
+        }
+    }
+
+    #[test]
+    fn the_last_dpu_chunk_runs_on_the_launching_thread() {
+        let mut system = PimSystem::new(PimConfig::tiny_test(37, 1024)).unwrap();
+        let caller = std::thread::current().id();
+        // One DPU is one chunk: nothing is spawned, whatever the host.
+        assert_eq!(system.launch(5..6, &WhoRanMe).unwrap().results, [caller]);
+        assert!(system.launch(5..5, &WhoRanMe).unwrap().results.is_empty());
+        let everywhere = system.launch_all(&WhoRanMe).unwrap().results;
+        assert_eq!(everywhere.last(), Some(&caller));
+        let helpers: std::collections::HashSet<_> =
+            everywhere.iter().filter(|id| **id != caller).collect();
+        let chunks = 37usize.div_ceil(37usize.div_ceil(system.host_workers));
+        assert_eq!(helpers.len(), chunks - 1);
     }
 
     #[test]

@@ -612,9 +612,10 @@ enum FanOutResult {
     Skipped,
 }
 
-/// Applies one update batch to every healthy replica concurrently — one
-/// scoped thread per replica, so the fleet's update latency is the *max*
-/// of the replica round trips, not their sum. The update lock still
+/// Applies one update batch to every healthy replica concurrently
+/// ([`impir_dpf::fan_out`]: the last replica's leg runs on this thread), so
+/// the fleet's update latency is the *max* of the replica round trips, not
+/// their sum. The update lock still
 /// serialises whole fan-outs against each other and against the prober's
 /// catch-ups. Replicas that die mid-fan-out are marked unhealthy and left
 /// to the prober's journal replay; a *rejected* batch (validation failure
@@ -628,14 +629,8 @@ fn fan_out_update(
         .update_lock
         .lock()
         .map_err(|_| protocol("router update lock poisoned"))?;
-    let results: Vec<FanOutResult> = std::thread::scope(|scope| {
-        let workers: Vec<_> = (0..state.slots.len())
-            .map(|slot| scope.spawn(move || fan_out_to_slot(state, slot, updates)))
-            .collect();
-        workers
-            .into_iter()
-            .map(|worker| worker.join().unwrap_or(FanOutResult::Skipped))
-            .collect()
+    let results = impir_dpf::fan_out(0..state.slots.len(), |slot| {
+        fan_out_to_slot(state, slot, updates)
     });
     let mut best: Option<UpdateOutcome> = None;
     let mut failures = 0usize;
