@@ -58,16 +58,12 @@ impl GpuPirBaseline {
     ///
     /// Propagates configuration errors.
     pub fn new(database: Arc<Database>) -> Result<Self, PirError> {
-        // Memory-bounded traversal (the GPU paper's evaluation strategy) and
-        // a fully parallel scan standing in for the GPU's thread blocks.
+        // Memory-bounded traversal (the GPU paper's evaluation strategy);
+        // the scan's reported time comes from the device model.
         let eval_strategy = EvalStrategy::MemoryBounded {
             chunk_bits: impir_dpf::parallel::DEFAULT_CHUNK_BITS,
         };
-        let config = CpuServerConfig {
-            eval_strategy,
-            scan_threads: impir_dpf::host_parallelism(),
-            scan_kernel: impir_core::dpxor::KernelChoice::Auto,
-        };
+        let config = CpuServerConfig { eval_strategy };
         // The GPU serialises queries on the device; a single evaluation
         // worker mirrors that in the engine pipeline.
         let engine_config = EngineConfig::new(BatchConfig::with_workers(1)?, eval_strategy)?;

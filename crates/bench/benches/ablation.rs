@@ -67,10 +67,10 @@ fn bench_dpxor_lanes(c: &mut Criterion) {
             acc
         });
     });
-    group.bench_function("wide_64bit", |b| {
+    group.bench_function("fast_path", |b| {
         b.iter(|| {
             let mut acc = vec![0u8; RECORD_BYTES];
-            dpxor::xor_select_wide(db.as_bytes(), RECORD_BYTES, &selector, &mut acc);
+            dpxor::xor_select_into(db.as_bytes(), RECORD_BYTES, &selector, &mut acc);
             acc
         });
     });

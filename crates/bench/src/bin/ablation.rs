@@ -130,7 +130,8 @@ fn eval_strategy_ablation() {
     report.emit();
 }
 
-/// Scalar vs 64-bit-wide `dpXOR` (the AVX stand-in the CPU servers use).
+/// Byte-wise oracle vs the 64-bit-lane fast path of `dpXOR` (the AVX
+/// stand-in the CPU servers use).
 fn dpxor_lane_ablation() {
     let mut report = FigureReport::new(
         "ablation-dpxor-lanes",
@@ -141,11 +142,11 @@ fn dpxor_lane_ablation() {
     let db = Database::random(1 << 16, paper::RECORD_BYTES, 1).expect("geometry");
     let selector: SelectorVector = (0..(1usize << 16)).map(|i| i % 2 == 0).collect();
 
-    for (name, wide) in [("scalar", false), ("wide-64bit", true)] {
+    for (name, fast) in [("scalar", false), ("fast-path", true)] {
         let started = Instant::now();
         let mut accumulator = vec![0u8; paper::RECORD_BYTES];
-        if wide {
-            dpxor::xor_select_wide(
+        if fast {
+            dpxor::xor_select_into(
                 db.as_bytes(),
                 paper::RECORD_BYTES,
                 &selector,

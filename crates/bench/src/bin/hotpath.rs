@@ -5,10 +5,11 @@
 //! XOR scan bound every backend's throughput (paper §3.2), so this bin
 //! measures seven things:
 //!
-//! * **self-check** — every registered [`impir_core::dpxor::ScanKernel`]
-//!   is replayed against the scalar oracle across record sizes (including
-//!   odd ones) and selector densities; any divergence exits with code 3
-//!   before a single timing is reported.
+//! * **self-check** — the scan ([`impir_core::dpxor::xor_select_into_with`])
+//!   is replayed against the scalar oracle
+//!   ([`impir_core::dpxor::xor_select_scalar`]) across record sizes
+//!   (including odd ones) and selector densities; any divergence exits with
+//!   code 3 before a single timing is reported.
 //! * **prg blocks/s** — AES blocks per second through the byte-oriented
 //!   oracle ([`LengthDoublingPrg::expand`], one block at a time) against the
 //!   table-driven batch kernel ([`LengthDoublingPrg::expand_level_into`]) on
@@ -20,15 +21,13 @@
 //!   zero-allocation `expand_level_into`/`EvalScratch` pipeline
 //!   ([`impir_dpf::eval::expand_subtree_into`]). Both ride the batch AES
 //!   kernel, so their ratio isolates allocation and packing, not AES.
-//! * **scan old vs new** — the previous single-u64 wide path
-//!   ([`impir_core::dpxor::xor_select_wide`]) against the runtime-dispatched
-//!   kernel ([`impir_core::dpxor::best_kernel`]); on a ≥2^18 domain the
-//!   dispatched kernel must be ≥1.2× faster or the bin exits with code 2.
-//! * **kernel shootout + throughput sweep** — scan GB/s for every kernel
-//!   and for the dispatched choice, across record sizes (32/40 and the odd
-//!   33, which exercises the word+tail path), selector densities
-//!   (sparse/half/full) and `scan_threads` ∈ {1, 2, 4} through
-//!   [`impir_core::server::cpu::CpuPirServer`]'s scoped-thread scan.
+//! * **scan oracle vs fast path** — scan GB/s of the byte-wise oracle
+//!   against the fast path every backend runs; on a ≥2^18 domain the fast
+//!   path must be ≥[`SCAN_FAST_PATH_BAR`]× the oracle or the bin exits with
+//!   code 2.
+//! * **throughput sweep** — scan GB/s of the fast path across record sizes
+//!   (32/40 and the odd 33, which exercises the word+tail path) and
+//!   selector densities (sparse/half/full).
 //! * **engine fixed cost** — what one single-share
 //!   [`QueryEngine::execute_batch`] on a 1024×32 B single-shard cpu engine
 //!   costs *beyond* the phases it accounts for (wall − `phase_totals`, µs,
@@ -38,7 +37,7 @@
 //!   (one scoped spawn+join alone is ≈30 µs on this class of host).
 //! * **roofline** — a streaming XOR-fold probe measures the host's actual
 //!   read bandwidth (single-thread and all-threads); the measured scan
-//!   throughputs are reported as fractions of that ceiling via
+//!   throughputs are reported as fractions of the single-thread ceiling via
 //!   [`impir_perf::DeviceProfile::measured_host`] and
 //!   [`impir_perf::RooflineModel::scan_efficiency`]. dpXOR is memory-bound,
 //!   so a ratio near 1.0 means the scan runs as fast as the memory system
@@ -52,35 +51,29 @@
 //! Run with `cargo run -p impir-bench --release --bin hotpath -- \
 //! [domain_bits] [iterations]` (defaults: 18, 5 — a ≥2^18 domain is what
 //! the acceptance criteria measure; CI uses a small domain and only the
-//! self-check is enforced there). The thread-scaling criterion
-//! (`scan_threads = 4` faster than 1) is additionally gated on the host
-//! exposing ≥4 hardware threads — on a single-core container there is
-//! nothing to scale onto.
+//! self-check is enforced there).
 
 use std::sync::Arc;
 use std::time::Instant;
 
 use impir_bench::report::{DataPoint, FigureReport, Series};
 use impir_core::database::Database;
-use impir_core::dpxor::{self, KernelChoice, ScanKernel};
+use impir_core::dpxor;
 use impir_core::engine::{EngineConfig, QueryEngine};
-use impir_core::protocol::QueryShare;
 use impir_core::server::cpu::{CpuPirServer, CpuServerConfig};
-use impir_core::server::PirServer;
 use impir_crypto::prg::LengthDoublingPrg;
 use impir_crypto::Block;
 use impir_dpf::eval::{
     eval_prefix, expand_subtree_into, expand_subtree_reference, EvalScratch, NodeState,
 };
 use impir_dpf::gen::generate_keys;
-use impir_dpf::{host_parallelism, EvalStrategy, SelectorVector};
+use impir_dpf::{host_parallelism, SelectorVector};
 use impir_perf::{DeviceProfile, RooflineModel};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// Record size used by the headline scan timings (bytes — the paper's
-/// 40-byte credential records, a multiple of 8 so every kernel's word path
-/// engages).
+/// 40-byte credential records).
 const RECORD_BYTES: usize = 40;
 
 /// How many scans are averaged into one timing sample: a single 2^18-record
@@ -96,6 +89,10 @@ const PRG_SEEDS: usize = 4096;
 /// The batch AES kernel must deliver at least this multiple of the oracle's
 /// blocks/s on a full-size run.
 const PRG_KERNEL_BAR: f64 = 2.0;
+
+/// The scan's fast path must deliver at least this multiple of the
+/// byte-wise oracle's GB/s on a full-size run.
+const SCAN_FAST_PATH_BAR: f64 = 3.0;
 
 /// Single-share batches timed per fixed-cost measurement.
 const ENGINE_FIXED_COST_BATCHES: usize = 2000;
@@ -124,17 +121,17 @@ fn main() {
     let mut report = FigureReport::new(
         "hotpath",
         format!(
-            "Expand + dpXOR scan kernels, 2^{domain_bits} domain: dispatch shootout, \
-             thread scaling, measured roofline"
+            "Expand + dpXOR scan kernels, 2^{domain_bits} domain: oracle vs fast path, \
+             throughput sweep, measured roofline"
         ),
         "dpXOR is memory-bound (Figure 3b): its throughput ceiling is the host's \
-         read bandwidth, and the dispatched kernel must beat the old single-u64 \
-         wide path by >=1.2x on a >=2^18 domain",
+         read bandwidth, and the scan's fast path must beat the byte-wise oracle \
+         by >=3x on a >=2^18 domain",
     );
 
     let (prg_oracle, prg_kernel) = time_prg(iterations);
     let (expand_old, expand_new) = time_expand(domain_bits, iterations);
-    let (scan_old, scan_new) = time_scan(domain_bits, iterations);
+    let [scan_oracle_gbps, scan_fast_gbps] = time_scan(domain_bits, iterations);
     let (engine_wall_us, engine_phases_us) = time_engine_fixed_cost();
     let engine_fixed_us = engine_wall_us - engine_phases_us;
 
@@ -155,9 +152,17 @@ fn main() {
     expand.push(DataPoint::new("old", 0.0, expand_old));
     expand.push(DataPoint::new("new", 1.0, expand_new));
     report.push_series(expand);
-    let mut scan = Series::new("scan (dpXOR over all records)", "seconds");
-    scan.push(DataPoint::new("old", 0.0, scan_old));
-    scan.push(DataPoint::new("new", 1.0, scan_new));
+    let scan_points = [
+        ("oracle (xor_select_scalar)", scan_oracle_gbps),
+        ("fast path (xor_select_into)", scan_fast_gbps),
+    ];
+    let mut scan = Series::new(
+        "scan oracle vs fast path (40 B records, density 0.5)",
+        "GB/s",
+    );
+    for (index, (name, gbps)) in scan_points.iter().enumerate() {
+        scan.push(DataPoint::new(*name, index as f64, *gbps));
+    }
     report.push_series(scan);
 
     let mut fixed = Series::new(
@@ -169,40 +174,14 @@ fn main() {
     fixed.push(DataPoint::new("wall - phases", 2.0, engine_fixed_us));
     report.push_series(fixed);
 
-    // Kernel shootout: every registered kernel plus the dispatched choice,
-    // same workload as the old-vs-new comparison.
-    let shootout = kernel_shootout(domain_bits, iterations);
-    let mut shootout_series = Series::new("scan kernels (40 B records, density 0.5)", "GB/s");
-    for (index, (name, _, gbps)) in shootout.iter().enumerate() {
-        shootout_series.push(DataPoint::new(name.clone(), index as f64, *gbps));
-    }
-    report.push_series(shootout_series);
-
     // Throughput sweep: record sizes (incl. the odd 33, which takes the
-    // word+tail path) x selector densities, dispatched kernel, one thread.
+    // word+tail path) x selector densities, one thread.
     let sweep = throughput_sweep(domain_bits, iterations);
-    let mut sweep_series = Series::new("scan throughput sweep (dispatched kernel)", "GB/s");
+    let mut sweep_series = Series::new("scan throughput sweep (fast path)", "GB/s");
     for (index, (label, gbps)) in sweep.iter().enumerate() {
         sweep_series.push(DataPoint::new(label.clone(), index as f64, *gbps));
     }
     report.push_series(sweep_series);
-
-    // Thread sweep through the CPU server's scoped-thread scan.
-    let threads_swept = thread_sweep(domain_bits, iterations);
-    let mut thread_series = Series::new("scan threads (CpuPirServer, 40 B records)", "seconds");
-    let mut thread_gbps: Vec<(String, f64)> = Vec::new();
-    for (threads, seconds, scanned_bytes) in &threads_swept {
-        thread_series.push(DataPoint::new(
-            format!("threads={threads}"),
-            *threads as f64,
-            *seconds,
-        ));
-        thread_gbps.push((
-            format!("threads={threads}"),
-            *scanned_bytes as f64 / *seconds / 1e9,
-        ));
-    }
-    report.push_series(thread_series);
 
     // Measured roofline: probe the host's read bandwidth over a scan-sized
     // working set, then report each scan throughput as a fraction of it.
@@ -224,30 +203,12 @@ fn main() {
         "scan roofline ratio (GB/s / measured read-bandwidth ceiling)",
         "fraction of ceiling",
     );
-    let mut index = 0.0;
-    for (name, _, gbps) in &shootout {
+    for (index, (name, gbps)) in scan_points.iter().enumerate() {
         roofline_series.push(DataPoint::new(
-            name.clone(),
-            index,
+            *name,
+            index as f64,
             single.scan_efficiency(*gbps),
         ));
-        index += 1.0;
-    }
-    for (label, gbps) in &thread_gbps {
-        // Multi-thread scans compete for the whole memory system, so they
-        // are held to the aggregate ceiling; single-thread entries to the
-        // single-thread one.
-        let model = if label == "threads=1" {
-            &single
-        } else {
-            &aggregate
-        };
-        roofline_series.push(DataPoint::new(
-            label.clone(),
-            index,
-            model.scan_efficiency(*gbps),
-        ));
-        index += 1.0;
     }
     report.push_series(roofline_series);
 
@@ -256,12 +217,18 @@ fn main() {
          {iterations} iterations per kernel, {SCANS_PER_SAMPLE} scans per sample"
     ));
     report.push_note(format!(
-        "expand speedup: {:.2}x, dispatched-scan speedup vs old wide path: {:.2}x \
-         (dispatched kernel: {})",
+        "expand speedup: {:.2}x, scan fast path vs byte-wise oracle: {:.2}x (bar \
+         {SCAN_FAST_PATH_BAR}x)",
         expand_old / expand_new,
-        scan_old / scan_new,
-        dpxor::best_kernel().name()
+        scan_fast_gbps / scan_oracle_gbps
     ));
+    report.push_note(
+        "retired in PR 16, last measured at 2^18 on a 2-thread host: the single-u64 `wide` \
+         kernel scanned 11.39 GB/s against 15.38 GB/s for `unrolled` (now the fast path; the \
+         start-up self-benchmark picked it in 30 of 30 processes), and one query's scan split \
+         over scan_threads 1/2/4 took 0.40/0.48/0.54 ms — sharding is the intra-query \
+         parallelism",
+    );
     report.push_note(format!(
         "prg: {:.2} M AES blocks/s through the byte-oriented oracle, {:.2} M through the \
          table-driven batch kernel ({:.2}x; {PRG_SEEDS} seeds, two blocks each, one thread); \
@@ -323,12 +290,12 @@ fn main() {
             "warning: new expand path slower than old ({expand_new:.6}s vs {expand_old:.6}s)"
         );
     }
-    if scan_new * 1.2 > scan_old {
+    if scan_fast_gbps < scan_oracle_gbps * SCAN_FAST_PATH_BAR {
         regressed = true;
         eprintln!(
-            "warning: dispatched scan kernel below the 1.2x bar vs the old wide path \
-             ({:.2}x: {scan_new:.6}s vs {scan_old:.6}s)",
-            scan_old / scan_new
+            "warning: scan fast path below the {SCAN_FAST_PATH_BAR}x bar vs the oracle \
+             ({:.2}x: {scan_fast_gbps:.2} vs {scan_oracle_gbps:.2} GB/s)",
+            scan_fast_gbps / scan_oracle_gbps
         );
     }
     if engine_fixed_us > ENGINE_FIXED_COST_BAR_US {
@@ -338,40 +305,20 @@ fn main() {
              ({engine_fixed_us:.1} us = {engine_wall_us:.1} wall - {engine_phases_us:.1} phases)"
         );
     }
-    // Thread scaling needs threads to scale onto: only meaningful where the
-    // host exposes at least 4 hardware threads.
-    if host_parallelism() >= 4 {
-        let one = threads_swept.iter().find(|(t, _, _)| *t == 1);
-        let four = threads_swept.iter().find(|(t, _, _)| *t == 4);
-        if let (Some((_, t1, _)), Some((_, t4, _))) = (one, four) {
-            if t4 >= t1 {
-                regressed = true;
-                eprintln!(
-                    "warning: scan_threads=4 not faster than scan_threads=1 \
-                     ({t4:.6}s vs {t1:.6}s) on a {}-thread host",
-                    host_parallelism()
-                );
-            }
-        }
-    } else {
-        println!(
-            "[thread-scaling criterion skipped: host exposes {} hardware thread(s)]",
-            host_parallelism()
-        );
-    }
     if enforce && regressed {
         eprintln!("error: kernel regression on a >=2^18 domain (see warnings above)");
         std::process::exit(2);
     }
 }
 
-/// Replays every registered kernel against the scalar oracle across record
-/// sizes (odd ones included) and selector densities; exits with code 3 on
-/// the first divergence. Mirrors the proptests in `impir_core::dpxor`, so a
+/// Replays the scan against the scalar oracle across record sizes (odd ones
+/// included) and selector densities; exits with code 3 on the first
+/// divergence. Mirrors the proptests in `impir_core::dpxor`, so a
 /// release binary on a new machine re-proves byte-identity before timing.
 fn kernel_self_check() {
     let mut rng = StdRng::seed_from_u64(0x5e1f_c4ec);
     let count = 513;
+    let mut acc_words = Vec::new();
     for record_size in [1usize, 2, 7, 8, 9, 16, 33, 40, 64, 65, 72, 100, 257] {
         let records: Vec<u8> = (0..count * record_size).map(|_| rng.gen()).collect();
         let selectors: [(&str, SelectorVector); 4] = [
@@ -383,25 +330,18 @@ fn kernel_self_check() {
         for (pattern, selector) in &selectors {
             let mut oracle = vec![0u8; record_size];
             dpxor::xor_select_scalar(&records, record_size, selector, &mut oracle);
-            for kernel in dpxor::kernels() {
-                let mut out = vec![0u8; record_size];
-                let mut acc_words = Vec::new();
-                kernel.xor_select(&records, record_size, selector, &mut out, &mut acc_words);
-                if out != oracle {
-                    eprintln!(
-                        "error: kernel '{}' diverges from the scalar oracle \
-                         (record_size={record_size}, pattern={pattern})",
-                        kernel.name()
-                    );
-                    std::process::exit(3);
-                }
+            let mut out = vec![0u8; record_size];
+            dpxor::xor_select_into_with(&records, record_size, selector, &mut out, &mut acc_words);
+            if out != oracle {
+                eprintln!(
+                    "error: the scan diverges from the scalar oracle \
+                     (record_size={record_size}, pattern={pattern})"
+                );
+                std::process::exit(3);
             }
         }
     }
-    println!(
-        "[self-check passed: {} kernels byte-identical to the scalar oracle]",
-        dpxor::kernels().len()
-    );
+    println!("[self-check passed: the scan is byte-identical to the scalar oracle]");
 }
 
 /// AES blocks per second through the GGM PRG, `(oracle, batch kernel)`:
@@ -431,7 +371,7 @@ fn time_prg(iterations: usize) -> (f64, f64) {
     }
 
     let mut best_oracle = f64::INFINITY;
-    let mut best_kernel = f64::INFINITY;
+    let mut best_batch = f64::INFINITY;
     for _ in 0..iterations.max(3) {
         let started = Instant::now();
         for seed in &seeds {
@@ -447,10 +387,10 @@ fn time_prg(iterations: usize) -> (f64, f64) {
             &mut controls,
         );
         std::hint::black_box(&controls);
-        best_kernel = best_kernel.min(started.elapsed().as_secs_f64());
+        best_batch = best_batch.min(started.elapsed().as_secs_f64());
     }
     let blocks = LengthDoublingPrg::aes_ops_per_level(PRG_SEEDS) as f64;
-    (blocks / best_oracle, blocks / best_kernel)
+    (blocks / best_oracle, blocks / best_batch)
 }
 
 /// `(wall, accounted phases)` of one single-share `execute_batch` on a
@@ -557,81 +497,42 @@ fn best_scan_seconds(iterations: usize, mut scan: impl FnMut()) -> f64 {
     best
 }
 
-/// Times the full-database `dpXOR` through the previous single-u64 wide
-/// path and through the runtime-dispatched kernel, returning each path's
-/// best per-scan wall time.
-fn time_scan(domain_bits: u32, iterations: usize) -> (f64, f64) {
+/// Scan GB/s (selected bytes) of the byte-wise oracle and of the fast path
+/// on the headline workload, `[oracle, fast path]`, after pinning the two
+/// byte-identical on it.
+fn time_scan(domain_bits: u32, iterations: usize) -> [f64; 2] {
     let (records, selector) = scan_workload(domain_bits, RECORD_BYTES, 0.5, 0x9abc_def0);
-    let kernel = dpxor::best_kernel();
+    let scanned_bytes = (selector.count_ones() * RECORD_BYTES) as f64;
 
-    let mut old_payload = vec![0u8; RECORD_BYTES];
-    let best_old = best_scan_seconds(iterations, || {
-        old_payload.fill(0);
-        dpxor::xor_select_wide(&records, RECORD_BYTES, &selector, &mut old_payload);
-        std::hint::black_box(&old_payload);
+    let mut oracle_payload = vec![0u8; RECORD_BYTES];
+    let oracle_seconds = best_scan_seconds(iterations, || {
+        oracle_payload.fill(0);
+        dpxor::xor_select_scalar(&records, RECORD_BYTES, &selector, &mut oracle_payload);
+        std::hint::black_box(&oracle_payload);
     });
 
-    let mut new_payload = vec![0u8; RECORD_BYTES];
+    let mut fast_payload = vec![0u8; RECORD_BYTES];
     let mut acc_words = Vec::new();
-    let best_new = best_scan_seconds(iterations, || {
-        new_payload.fill(0);
-        kernel.xor_select(
+    let fast_seconds = best_scan_seconds(iterations, || {
+        fast_payload.fill(0);
+        dpxor::xor_select_into_with(
             &records,
             RECORD_BYTES,
             &selector,
-            &mut new_payload,
+            &mut fast_payload,
             &mut acc_words,
         );
-        std::hint::black_box(&new_payload);
+        std::hint::black_box(&fast_payload);
     });
-    assert_eq!(old_payload, new_payload, "scan kernels disagree");
-    (best_old, best_new)
+    assert_eq!(oracle_payload, fast_payload, "scan and oracle disagree");
+    [oracle_seconds, fast_seconds].map(|seconds| scanned_bytes / seconds / 1e9)
 }
 
-/// Times every registered kernel plus the dispatched choice on the headline
-/// workload, returning `(name, best seconds, GB/s of selected bytes)`.
-fn kernel_shootout(domain_bits: u32, iterations: usize) -> Vec<(String, f64, f64)> {
-    let (records, selector) = scan_workload(domain_bits, RECORD_BYTES, 0.5, 0x51de_ca5e);
-    let scanned_bytes = (selector.count_ones() * RECORD_BYTES) as f64;
-
-    let mut contenders: Vec<(String, &'static dyn ScanKernel)> = dpxor::kernels()
-        .iter()
-        .map(|kernel| (kernel.name().to_string(), *kernel))
-        .collect();
-    let dispatched = dpxor::best_kernel();
-    contenders.push((format!("dispatched ({})", dispatched.name()), dispatched));
-
-    let mut results = Vec::with_capacity(contenders.len());
-    let mut reference: Option<Vec<u8>> = None;
-    for (name, kernel) in contenders {
-        let mut payload = vec![0u8; RECORD_BYTES];
-        let mut acc_words = Vec::new();
-        let seconds = best_scan_seconds(iterations, || {
-            payload.fill(0);
-            kernel.xor_select(
-                &records,
-                RECORD_BYTES,
-                &selector,
-                &mut payload,
-                &mut acc_words,
-            );
-            std::hint::black_box(&payload);
-        });
-        match &reference {
-            None => reference = Some(payload),
-            Some(expected) => assert_eq!(&payload, expected, "kernel '{name}' disagrees"),
-        }
-        results.push((name, seconds, scanned_bytes / seconds / 1e9));
-    }
-    results
-}
-
-/// Scan GB/s of the dispatched kernel across record sizes and selector
+/// Scan GB/s of the fast path across record sizes and selector
 /// densities, returning `(label, GB/s)` per cell. Record size 33 is the odd
 /// one: its records take the word+tail path (four aligned words + one
 /// byte-tail word per record).
 fn throughput_sweep(domain_bits: u32, iterations: usize) -> Vec<(String, f64)> {
-    let kernel = dpxor::best_kernel();
     let mut results = Vec::new();
     for record_size in [32usize, 40, 33] {
         for (density_label, density) in [("sparse", 1.0 / 64.0), ("0.5", 0.5), ("1.0", 1.0)] {
@@ -641,7 +542,7 @@ fn throughput_sweep(domain_bits: u32, iterations: usize) -> Vec<(String, f64)> {
             let mut acc_words = Vec::new();
             let seconds = best_scan_seconds(iterations, || {
                 payload.fill(0);
-                kernel.xor_select(
+                dpxor::xor_select_into_with(
                     &records,
                     record_size,
                     &selector,
@@ -655,51 +556,6 @@ fn throughput_sweep(domain_bits: u32, iterations: usize) -> Vec<(String, f64)> {
                 scanned_bytes / seconds / 1e9,
             ));
         }
-    }
-    results
-}
-
-/// Times the CPU server's scan at `scan_threads` ∈ {1, 2, 4} on the same
-/// database and query share, returning `(threads, best dpXOR seconds,
-/// selected bytes per scan)`. Responses are pinned byte-identical across
-/// thread counts.
-fn thread_sweep(domain_bits: u32, iterations: usize) -> Vec<(usize, f64, usize)> {
-    let num_records = 1u64 << domain_bits;
-    let database =
-        Arc::new(Database::random(num_records, RECORD_BYTES, 0xd0_5eed).expect("valid geometry"));
-    let mut rng = StdRng::seed_from_u64(0x7472_6561);
-    let alpha = rng.gen_range(0..num_records);
-    let (key, _) = generate_keys(domain_bits, alpha, &mut rng).expect("valid parameters");
-    let share = QueryShare::new(1, key);
-    // A DPF share's selector has ~half the bits set, so selected bytes are
-    // approximated as half the database (exact enough for a GB/s label).
-    let scanned_bytes = (num_records as usize / 2) * RECORD_BYTES;
-
-    let mut results = Vec::new();
-    let mut reference: Option<Vec<u8>> = None;
-    for threads in [1usize, 2, 4] {
-        let config = CpuServerConfig {
-            eval_strategy: EvalStrategy::LevelByLevel,
-            scan_threads: threads,
-            scan_kernel: KernelChoice::Auto,
-        };
-        let mut server =
-            CpuPirServer::new(Arc::clone(&database), config).expect("valid configuration");
-        let mut best = f64::INFINITY;
-        let mut payload = Vec::new();
-        for _ in 0..iterations {
-            let (response, phases) = server.process_query(&share).expect("query succeeds");
-            best = best.min(phases.dpxor.wall_seconds);
-            payload = response.payload;
-        }
-        match &reference {
-            None => reference = Some(payload),
-            Some(expected) => assert_eq!(
-                &payload, expected,
-                "scan_threads={threads} response diverges from scan_threads=1"
-            ),
-        }
-        results.push((threads, best, scanned_bytes));
     }
     results
 }

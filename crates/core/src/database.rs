@@ -251,10 +251,9 @@ impl Database {
     /// The `dpXOR` scan: XORs every record whose selector bit is set.
     ///
     /// This is the linear scan every PIR server must perform (the
-    /// *all-for-one* principle). It runs through the runtime-dispatched
-    /// [`crate::dpxor::ScanKernel`] ([`crate::dpxor::best_kernel`]), so it
-    /// inherits the fastest registered kernel for this host; every kernel
-    /// is pinned byte-identical to the scalar oracle.
+    /// *all-for-one* principle): one call of
+    /// [`crate::dpxor::xor_select_into`], which is pinned byte-identical to
+    /// the scalar oracle [`crate::dpxor::xor_select_scalar`].
     ///
     /// # Panics
     ///

@@ -4,174 +4,38 @@
 //! PIR query (§2.3, §3.3): for each record `j`, if the selector bit
 //! `Eval(k, j)` is set, XOR the record into an accumulator. The paper's
 //! whole point is *where* this scan runs — on the CPU (baseline), on a GPU,
-//! or in memory on DPUs — but the arithmetic is identical everywhere, so
-//! one shared implementation backs the CPU server, the CPU/GPU baselines
-//! and the DPU kernel.
+//! or in memory on DPUs — but the arithmetic is identical everywhere.
 //!
-//! # Kernel dispatch
+//! # Two functions, no dispatch
 //!
-//! *How* the scan is implemented is a runtime policy, not a compile-time
-//! choice: every implementation lives behind the [`ScanKernel`] trait and
-//! the backends pick one at startup. Three kernels are registered
-//! ([`kernels`]):
+//! * [`xor_select_into`] / [`xor_select_into_with`] — the scan every
+//!   host-side backend runs (the CPU and streaming servers, the CPU/GPU
+//!   baselines, the PIM server's host snapshot). Records of up to
+//!   [`MAX_REGISTER_WORDS`] whole words are scanned with the whole
+//!   accumulator held in registers (4–8 `u64` XORs per selector-bit check
+//!   for the paper's 32–64-byte records), larger records in unrolled 8-word
+//!   groups, and a record size that is *not* a multiple of 8 takes the word
+//!   path for its aligned prefix plus a ≤7-byte tail packed into one extra
+//!   `u64` — odd sizes (33-byte records as much as the paper's 40-byte ones)
+//!   do not collapse to a byte loop.
+//! * [`xor_select_scalar`] — the byte-wise reference loop, Algorithm 1
+//!   written down literally. It is the oracle the fast path is tested
+//!   byte-identical against for every geometry, and nothing serves a query
+//!   with it.
 //!
-//! * [`ScalarKernel`] — the byte-wise reference loop. Every other kernel is
-//!   tested byte-identical against it; it is never the fastest.
-//! * [`WideKernel`] — the historical 64-bit path: one `u64` XOR per
-//!   operation for record sizes that are multiples of 8, falling back to
-//!   the scalar loop otherwise. Kept as the regression baseline the
-//!   `hotpath` bench compares against.
-//! * [`UnrolledKernel`] — the wide multi-word kernel: records up to 64
-//!   whole words are scanned with the whole accumulator held in registers
-//!   (4–8 `u64` XORs per selector-bit check for the paper's 32–64-byte
-//!   records), larger records in unrolled 8-word groups, and record sizes
-//!   that are *not* multiples of 8 take the word path for the aligned
-//!   prefix plus a packed tail word — odd sizes no longer collapse to the
-//!   byte loop.
-//!
-//! All word-level kernels skip all-zero selector words in one branch, so a
-//! sparse selector costs ~1 branch per 64 records — on average the scan
-//! touches half the records, exactly Algorithm 1's
-//! `if v[j] = 1 then t_i ← t_i ⊕ D_d[j]`.
-//!
-//! [`best_kernel`] picks the fastest kernel for this host by a short
-//! self-benchmark on first use (memoised for the process lifetime) after
-//! verifying each candidate against the scalar oracle; callers that want a
-//! specific kernel override the choice with [`KernelChoice`] (e.g.
-//! [`crate::server::cpu::CpuServerConfig::scan_kernel`], or the
-//! `IMPIR_SCAN_KERNEL` environment variable for paths that take no config).
-//! The convenience entry points [`xor_select_into`] /
-//! [`xor_select_into_with`] route through the dispatched kernel, so every
-//! backend and baseline inherits the fast path without code changes.
-
-use std::sync::OnceLock;
+//! The fast path skips all-zero selector words in one branch, so a sparse
+//! selector costs ~1 branch per 64 records — on average the scan touches
+//! half the records, exactly Algorithm 1's
+//! `if v[j] = 1 then t_i ← t_i ⊕ D_d[j]`. Intra-query parallelism is not
+//! this module's business: a shard *is* a record-range chunk scanned on its
+//! own thread and XOR-merged, one layer up
+//! ([`crate::engine::QueryEngine`]).
 
 use impir_dpf::SelectorVector;
 
-/// One implementation of the selector-weighted XOR scan.
-///
-/// Implementations must be pure: the only observable effect is
-/// `accumulator ^= XOR of selected records`, byte-identical to
-/// [`ScalarKernel`] for every geometry. `acc_words` is caller-owned scratch
-/// (cleared and refilled, keeping capacity) so steady-state scan loops
-/// allocate nothing; kernels that need no scratch ignore it.
-pub trait ScanKernel: Send + Sync + std::fmt::Debug {
-    /// Short stable name (`scalar`, `wide`, `unrolled`) used by config
-    /// overrides and bench reports.
-    fn name(&self) -> &'static str;
-
-    /// XORs every selected record of `records` into `accumulator`.
-    ///
-    /// `records` must contain exactly `selector.len()` records of
-    /// `record_size` bytes; `accumulator` must be `record_size` bytes long.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slice sizes are inconsistent.
-    fn xor_select(
-        &self,
-        records: &[u8],
-        record_size: usize,
-        selector: &SelectorVector,
-        accumulator: &mut [u8],
-        acc_words: &mut Vec<u64>,
-    );
-}
-
-/// The byte-wise reference kernel — the oracle every other kernel is pinned
-/// against.
-#[derive(Debug, Clone, Copy)]
-pub struct ScalarKernel;
-
-impl ScanKernel for ScalarKernel {
-    fn name(&self) -> &'static str {
-        "scalar"
-    }
-
-    fn xor_select(
-        &self,
-        records: &[u8],
-        record_size: usize,
-        selector: &SelectorVector,
-        accumulator: &mut [u8],
-        _acc_words: &mut Vec<u64>,
-    ) {
-        xor_select_scalar(records, record_size, selector, accumulator);
-    }
-}
-
-/// The historical 64-bit path: one `u64` per operation for record sizes
-/// that are multiples of 8, byte-wise otherwise. The `hotpath` bench's
-/// regression baseline.
-#[derive(Debug, Clone, Copy)]
-pub struct WideKernel;
-
-impl ScanKernel for WideKernel {
-    fn name(&self) -> &'static str {
-        "wide"
-    }
-
-    fn xor_select(
-        &self,
-        records: &[u8],
-        record_size: usize,
-        selector: &SelectorVector,
-        accumulator: &mut [u8],
-        acc_words: &mut Vec<u64>,
-    ) {
-        if record_size.is_multiple_of(8) {
-            xor_select_wide_with(records, record_size, selector, accumulator, acc_words);
-        } else {
-            xor_select_scalar(records, record_size, selector, accumulator);
-        }
-    }
-}
-
-/// The unrolled multi-word kernel.
-///
-/// Records of up to [`MAX_REGISTER_WORDS`] whole words keep the entire
-/// accumulator in registers across the whole scan (no accumulator
-/// loads/stores per record — the dominant win over [`WideKernel`], which
-/// round-trips every accumulator word through memory per record); larger
-/// records XOR in unrolled 8-word groups. A record size that is not a
-/// multiple of 8 is split into its aligned word prefix plus a ≤7-byte tail
-/// packed into one extra `u64`, so odd sizes (33-byte records as much as
-/// the paper's 40-byte ones) still take the word path.
-#[derive(Debug, Clone, Copy)]
-pub struct UnrolledKernel;
-
-/// Largest number of whole 8-byte words per record for which
-/// [`UnrolledKernel`] keeps the full accumulator in registers.
+/// Largest number of whole 8-byte words per record for which the scan keeps
+/// the full accumulator in registers.
 pub const MAX_REGISTER_WORDS: usize = 8;
-
-impl ScanKernel for UnrolledKernel {
-    fn name(&self) -> &'static str {
-        "unrolled"
-    }
-
-    fn xor_select(
-        &self,
-        records: &[u8],
-        record_size: usize,
-        selector: &SelectorVector,
-        accumulator: &mut [u8],
-        acc_words: &mut Vec<u64>,
-    ) {
-        check_shapes(records, record_size, selector, accumulator);
-        match record_size / 8 {
-            0 => scan_registers::<0>(records, record_size, selector, accumulator),
-            1 => scan_registers::<1>(records, record_size, selector, accumulator),
-            2 => scan_registers::<2>(records, record_size, selector, accumulator),
-            3 => scan_registers::<3>(records, record_size, selector, accumulator),
-            4 => scan_registers::<4>(records, record_size, selector, accumulator),
-            5 => scan_registers::<5>(records, record_size, selector, accumulator),
-            6 => scan_registers::<6>(records, record_size, selector, accumulator),
-            7 => scan_registers::<7>(records, record_size, selector, accumulator),
-            8 => scan_registers::<8>(records, record_size, selector, accumulator),
-            _ => scan_unrolled_large(records, record_size, selector, accumulator, acc_words),
-        }
-    }
-}
 
 /// Loads up to 7 tail bytes as a little-endian `u64` (upper bytes zero).
 #[inline]
@@ -300,167 +164,7 @@ fn scan_unrolled_large(
     }
 }
 
-/// Which [`ScanKernel`] a backend scans with — a runtime policy, like the
-/// engine's shard placement: schemes and call sites never change, only the
-/// dispatch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum KernelChoice {
-    /// Self-benchmarked fastest kernel for this host ([`best_kernel`]).
-    #[default]
-    Auto,
-    /// Force the byte-wise reference kernel.
-    Scalar,
-    /// Force the historical one-`u64` wide kernel.
-    Wide,
-    /// Force the unrolled multi-word kernel.
-    Unrolled,
-}
-
-impl KernelChoice {
-    /// The kernel this choice dispatches to.
-    #[must_use]
-    pub fn resolve(self) -> &'static dyn ScanKernel {
-        match self {
-            KernelChoice::Auto => best_kernel(),
-            KernelChoice::Scalar => &ScalarKernel,
-            KernelChoice::Wide => &WideKernel,
-            KernelChoice::Unrolled => &UnrolledKernel,
-        }
-    }
-
-    /// Parses a choice from its config spelling
-    /// (`auto|scalar|wide|unrolled`, case-insensitive).
-    #[must_use]
-    pub fn parse(name: &str) -> Option<KernelChoice> {
-        match name.to_ascii_lowercase().as_str() {
-            "auto" => Some(KernelChoice::Auto),
-            "scalar" => Some(KernelChoice::Scalar),
-            "wide" => Some(KernelChoice::Wide),
-            "unrolled" => Some(KernelChoice::Unrolled),
-            _ => None,
-        }
-    }
-}
-
-impl std::fmt::Display for KernelChoice {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let name = match self {
-            KernelChoice::Auto => "auto",
-            KernelChoice::Scalar => "scalar",
-            KernelChoice::Wide => "wide",
-            KernelChoice::Unrolled => "unrolled",
-        };
-        f.write_str(name)
-    }
-}
-
-/// Every registered scan kernel, scalar oracle first.
-#[must_use]
-pub fn kernels() -> &'static [&'static dyn ScanKernel] {
-    &[&ScalarKernel, &WideKernel, &UnrolledKernel]
-}
-
-/// Looks a kernel up by its [`ScanKernel::name`].
-#[must_use]
-pub fn kernel_by_name(name: &str) -> Option<&'static dyn ScanKernel> {
-    kernels()
-        .iter()
-        .copied()
-        .find(|kernel| kernel.name().eq_ignore_ascii_case(name))
-}
-
-/// The fastest kernel for this host, picked once per process.
-///
-/// On first call every registered kernel is verified byte-identical to the
-/// scalar oracle on a synthetic workload and then timed on it (the paper's
-/// 40-byte records at ~50 % selector density); the fastest verified kernel
-/// wins and the answer is memoised. The `IMPIR_SCAN_KERNEL` environment
-/// variable (`scalar|wide|unrolled`) short-circuits the benchmark — useful
-/// for A/B runs of bench bins that take no config; unknown names are
-/// ignored. The self-benchmark scans ~1 MiB per kernel, so first use costs
-/// well under a millisecond per candidate.
-#[must_use]
-pub fn best_kernel() -> &'static dyn ScanKernel {
-    static BEST: OnceLock<&'static dyn ScanKernel> = OnceLock::new();
-    *BEST.get_or_init(|| {
-        if let Some(kernel) = std::env::var("IMPIR_SCAN_KERNEL")
-            .ok()
-            .and_then(|name| kernel_by_name(&name))
-        {
-            return kernel;
-        }
-        self_benchmark()
-    })
-}
-
-/// Times every registered kernel on a synthetic workload and returns the
-/// fastest one that matches the scalar oracle (ties go to the earlier
-/// registration; the oracle itself always matches, so the result is never
-/// empty).
-fn self_benchmark() -> &'static dyn ScanKernel {
-    const RECORDS: usize = 4096;
-    const RECORD_SIZE: usize = 40;
-    const REPS: usize = 3;
-
-    // Deterministic pseudo-random workload without pulling in an RNG:
-    // xorshift64* is plenty for a timing probe.
-    let mut state = 0x9e37_79b9_7f4a_7c15u64;
-    let mut next = move || {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        state.wrapping_mul(0x2545_f491_4f6c_dd1d)
-    };
-    let records: Vec<u8> = (0..(RECORDS * RECORD_SIZE).div_ceil(8))
-        .flat_map(|_| next().to_le_bytes())
-        .take(RECORDS * RECORD_SIZE)
-        .collect();
-    let selector: SelectorVector = (0..RECORDS).map(|_| next() & 1 == 1).collect();
-
-    let mut oracle = vec![0u8; RECORD_SIZE];
-    xor_select_scalar(&records, RECORD_SIZE, &selector, &mut oracle);
-
-    let mut best: &'static dyn ScanKernel = &ScalarKernel;
-    let mut best_seconds = f64::INFINITY;
-    let mut acc_words = Vec::new();
-    for &kernel in kernels() {
-        let mut accumulator = vec![0u8; RECORD_SIZE];
-        kernel.xor_select(
-            &records,
-            RECORD_SIZE,
-            &selector,
-            &mut accumulator,
-            &mut acc_words,
-        );
-        if accumulator != oracle {
-            // Defence in depth: a kernel that diverges from the oracle is
-            // never auto-selected (the proptests make this unreachable).
-            continue;
-        }
-        let mut kernel_best = f64::INFINITY;
-        for _ in 0..REPS {
-            accumulator.fill(0);
-            let started = std::time::Instant::now();
-            kernel.xor_select(
-                &records,
-                RECORD_SIZE,
-                &selector,
-                &mut accumulator,
-                &mut acc_words,
-            );
-            kernel_best = kernel_best.min(started.elapsed().as_secs_f64());
-            std::hint::black_box(&accumulator);
-        }
-        if kernel_best < best_seconds {
-            best_seconds = kernel_best;
-            best = kernel;
-        }
-    }
-    best
-}
-
-/// XORs every selected record of `records` into `accumulator` through the
-/// dispatched kernel ([`best_kernel`]).
+/// XORs every selected record of `records` into `accumulator`.
 ///
 /// `records` must contain exactly `selector.len()` records of
 /// `record_size` bytes; `accumulator` must be `record_size` bytes long.
@@ -478,9 +182,10 @@ pub fn xor_select_into(
     xor_select_into_with(records, record_size, selector, accumulator, &mut acc_words);
 }
 
-/// [`xor_select_into`] with a caller-owned word scratch, so repeated scans
-/// (one per query of a batch) reuse the same accumulator words instead of
-/// allocating per call.
+/// [`xor_select_into`] with a caller-owned word scratch (cleared and
+/// refilled, keeping capacity), so repeated scans of records larger than
+/// [`MAX_REGISTER_WORDS`] words — one per query of a batch — allocate
+/// nothing in the steady state. Smaller records never touch it.
 ///
 /// # Panics
 ///
@@ -493,7 +198,18 @@ pub fn xor_select_into_with(
     acc_words: &mut Vec<u64>,
 ) {
     check_shapes(records, record_size, selector, accumulator);
-    best_kernel().xor_select(records, record_size, selector, accumulator, acc_words);
+    match record_size / 8 {
+        0 => scan_registers::<0>(records, record_size, selector, accumulator),
+        1 => scan_registers::<1>(records, record_size, selector, accumulator),
+        2 => scan_registers::<2>(records, record_size, selector, accumulator),
+        3 => scan_registers::<3>(records, record_size, selector, accumulator),
+        4 => scan_registers::<4>(records, record_size, selector, accumulator),
+        5 => scan_registers::<5>(records, record_size, selector, accumulator),
+        6 => scan_registers::<6>(records, record_size, selector, accumulator),
+        7 => scan_registers::<7>(records, record_size, selector, accumulator),
+        8 => scan_registers::<8>(records, record_size, selector, accumulator),
+        _ => scan_unrolled_large(records, record_size, selector, accumulator, acc_words),
+    }
 }
 
 /// Byte-wise reference implementation of the selector-weighted XOR.
@@ -521,81 +237,9 @@ pub fn xor_select_scalar(
     }
 }
 
-/// 64-bit-lane implementation: records whose size is a multiple of 8 bytes
-/// are XORed eight bytes at a time — the historical fast path, kept as the
-/// [`WideKernel`] baseline the unrolled kernel is benchmarked against.
-///
-/// # Panics
-///
-/// Panics if the slice sizes are inconsistent or `record_size` is not a
-/// multiple of 8.
-pub fn xor_select_wide(
-    records: &[u8],
-    record_size: usize,
-    selector: &SelectorVector,
-    accumulator: &mut [u8],
-) {
-    let mut acc_words = Vec::new();
-    xor_select_wide_with(records, record_size, selector, accumulator, &mut acc_words);
-}
-
-/// [`xor_select_wide`] with the word accumulator hoisted out into a
-/// caller-owned scratch: `acc_words` is cleared and refilled, keeping its
-/// capacity, so a scan loop reusing one scratch allocates nothing per call
-/// in the steady state.
-///
-/// # Panics
-///
-/// Panics if the slice sizes are inconsistent or `record_size` is not a
-/// multiple of 8.
-pub fn xor_select_wide_with(
-    records: &[u8],
-    record_size: usize,
-    selector: &SelectorVector,
-    accumulator: &mut [u8],
-    acc_words: &mut Vec<u64>,
-) {
-    check_shapes(records, record_size, selector, accumulator);
-    assert!(
-        record_size.is_multiple_of(8),
-        "wide path requires record sizes that are multiples of 8 bytes"
-    );
-    let words_per_record = record_size / 8;
-    acc_words.clear();
-    acc_words.resize(words_per_record, 0);
-    for (word, chunk) in acc_words.iter_mut().zip(accumulator.chunks_exact(8)) {
-        *word = u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
-    }
-
-    // Walk the packed selector words and only touch records with set bits —
-    // on average half the records, exactly like Algorithm 1's
-    // `if v[j] = 1 then t_i ← t_i ⊕ D_d[j]`.
-    for (word_index, &selector_word) in selector.words().iter().enumerate() {
-        if selector_word == 0 {
-            continue;
-        }
-        let mut remaining = selector_word;
-        while remaining != 0 {
-            let bit = remaining.trailing_zeros() as usize;
-            remaining &= remaining - 1;
-            let record_index = word_index * 64 + bit;
-            let start = record_index * record_size;
-            let record = &records[start..start + record_size];
-            for (acc, chunk) in acc_words.iter_mut().zip(record.chunks_exact(8)) {
-                *acc ^= u64::from_le_bytes(chunk.try_into().expect("8-byte chunk"));
-            }
-        }
-    }
-
-    for (chunk, word) in accumulator.chunks_exact_mut(8).zip(acc_words.iter()) {
-        chunk.copy_from_slice(&word.to_le_bytes());
-    }
-}
-
 /// Merges a set of per-chunk partial results into a single record by XOR —
 /// the second stage of the parallel reduction (Algorithm 1's `MasterXOR`
-/// on a DPU, the host-side aggregation of per-DPU subresults, and the
-/// merge of [`crate::server::cpu::CpuPirServer`]'s per-thread scan chunks).
+/// on a DPU and the host-side aggregation of per-DPU subresults).
 ///
 /// # Panics
 ///
@@ -659,9 +303,9 @@ mod tests {
         (0..count * record_size).map(|_| rng.gen()).collect()
     }
 
-    /// Selector patterns every kernel must agree on: empty, full, sparse
-    /// (one bit per word, so word-skipping paths exercise both arms) and
-    /// pseudo-random.
+    /// Selector patterns the fast path must agree with the oracle on:
+    /// empty, full, sparse (one bit per word, so the word-skipping branch
+    /// exercises both arms) and pseudo-random.
     fn selector_patterns(count: usize, seed: u64) -> Vec<(&'static str, SelectorVector)> {
         let mut rng = StdRng::seed_from_u64(seed);
         vec![
@@ -679,137 +323,72 @@ mod tests {
     }
 
     #[test]
-    fn every_kernel_matches_the_oracle_across_geometries() {
-        // Record sizes straddling every dispatch boundary: sub-word, exact
-        // words, word+tail, the register/unrolled crossover at 64 bytes,
-        // and a large record with both a group remainder and a tail.
+    fn fast_path_matches_the_oracle_across_geometries() {
+        // Record sizes straddling every boundary of the size match:
+        // sub-word, exact words, word+tail, the register/unrolled crossover
+        // at 64 bytes, and a large record with both a group remainder and a
+        // tail.
         for record_size in [1usize, 2, 7, 8, 9, 16, 33, 40, 64, 65, 72, 100, 257] {
             let count = 200;
             let records = random_records(count, record_size, record_size as u64);
             for (pattern, selector) in selector_patterns(count, 7) {
                 let expected = oracle(&records, record_size, &selector);
-                for &kernel in kernels() {
-                    let mut accumulator = vec![0u8; record_size];
-                    let mut acc_words = Vec::new();
-                    kernel.xor_select(
-                        &records,
-                        record_size,
-                        &selector,
-                        &mut accumulator,
-                        &mut acc_words,
-                    );
-                    assert_eq!(
-                        accumulator,
-                        expected,
-                        "kernel={} record_size={record_size} pattern={pattern}",
-                        kernel.name()
-                    );
-                }
+                let mut accumulator = vec![0u8; record_size];
+                xor_select_into(&records, record_size, &selector, &mut accumulator);
+                assert_eq!(
+                    accumulator, expected,
+                    "record_size={record_size} pattern={pattern}"
+                );
             }
         }
     }
 
     #[test]
-    fn kernels_accumulate_into_nonzero_accumulators() {
+    fn fast_path_accumulates_into_nonzero_accumulators() {
         // The contract is `accumulator ^= scan`, not `accumulator = scan`.
         let record_size = 33;
         let records = random_records(100, record_size, 5);
         let selector: SelectorVector = (0..100).map(|i| i % 3 == 0).collect();
         let mut expected = vec![0x5a; record_size];
         xor_select_scalar(&records, record_size, &selector, &mut expected);
-        for &kernel in kernels() {
-            let mut accumulator = vec![0x5a; record_size];
-            let mut acc_words = Vec::new();
-            kernel.xor_select(
-                &records,
-                record_size,
-                &selector,
-                &mut accumulator,
-                &mut acc_words,
-            );
-            assert_eq!(accumulator, expected, "kernel={}", kernel.name());
-        }
-    }
-
-    #[test]
-    fn best_kernel_is_registered_and_correct() {
-        let best = best_kernel();
-        assert!(kernels().iter().any(|kernel| kernel.name() == best.name()));
-        let records = random_records(128, 40, 9);
-        let selector: SelectorVector = (0..128).map(|i| i % 2 == 0).collect();
-        let expected = oracle(&records, 40, &selector);
-        let mut accumulator = vec![0u8; 40];
-        let mut acc_words = Vec::new();
-        best.xor_select(&records, 40, &selector, &mut accumulator, &mut acc_words);
+        let mut accumulator = vec![0x5a; record_size];
+        xor_select_into(&records, record_size, &selector, &mut accumulator);
         assert_eq!(accumulator, expected);
     }
 
     #[test]
-    fn kernel_choice_round_trips_names() {
-        for choice in [
-            KernelChoice::Auto,
-            KernelChoice::Scalar,
-            KernelChoice::Wide,
-            KernelChoice::Unrolled,
-        ] {
-            assert_eq!(KernelChoice::parse(&choice.to_string()), Some(choice));
-        }
-        assert_eq!(
-            KernelChoice::parse("UNROLLED"),
-            Some(KernelChoice::Unrolled)
-        );
-        assert_eq!(KernelChoice::parse("avx512"), None);
-        assert_eq!(KernelChoice::default(), KernelChoice::Auto);
-        assert_eq!(KernelChoice::Scalar.resolve().name(), "scalar");
-        assert_eq!(KernelChoice::Wide.resolve().name(), "wide");
-        assert_eq!(KernelChoice::Unrolled.resolve().name(), "unrolled");
-    }
-
-    #[test]
-    fn kernel_by_name_finds_every_registered_kernel() {
-        for &kernel in kernels() {
-            let found = kernel_by_name(kernel.name()).expect("registered");
-            assert_eq!(found.name(), kernel.name());
-        }
-        assert!(kernel_by_name("no-such-kernel").is_none());
-    }
-
-    #[test]
-    fn wide_and_scalar_agree() {
-        let records = random_records(200, 32, 1);
-        let selector: SelectorVector = (0..200).map(|i| i % 5 < 2).collect();
-        let mut scalar = vec![0u8; 32];
-        let mut wide = vec![0u8; 32];
-        xor_select_scalar(&records, 32, &selector, &mut scalar);
-        xor_select_wide(&records, 32, &selector, &mut wide);
-        assert_eq!(scalar, wide);
-    }
-
-    #[test]
-    fn scratch_reuse_matches_fresh_scratch_across_calls() {
-        // One scratch carried across scans of different record sizes must
-        // produce the same results as fresh allocation per call.
+    fn scratch_reuse_matches_the_oracle_across_record_sizes() {
+        // One scratch carried across scans of different record sizes — the
+        // >64-byte ones are those that actually use it — must change
+        // nothing.
         let mut scratch = Vec::new();
-        for (count, record_size, seed) in [(64usize, 32usize, 1u64), (100, 8, 2), (30, 48, 3)] {
+        for (count, record_size, seed) in [
+            (64usize, 32usize, 1u64),
+            (100, 8, 2),
+            (40, 100, 3),
+            (30, 48, 4),
+            (25, 257, 5),
+            (40, 72, 6),
+        ] {
             let records = random_records(count, record_size, seed);
             let selector: SelectorVector = (0..count).map(|i| i % 3 != 0).collect();
             let mut reused = vec![0u8; record_size];
-            let mut fresh = vec![0u8; record_size];
             xor_select_into_with(&records, record_size, &selector, &mut reused, &mut scratch);
-            xor_select_into(&records, record_size, &selector, &mut fresh);
-            assert_eq!(reused, fresh, "record_size={record_size}");
+            assert_eq!(
+                reused,
+                oracle(&records, record_size, &selector),
+                "record_size={record_size}"
+            );
         }
     }
 
     #[test]
-    fn dispatch_handles_odd_record_sizes() {
+    fn fast_path_handles_odd_record_sizes() {
         let records = random_records(50, 7, 2);
         let selector: SelectorVector = (0..50).map(|i| i % 2 == 0).collect();
-        let mut via_dispatch = vec![0u8; 7];
-        let mut via_scalar = vec![0u8; 7];
-        xor_select_into(&records, 7, &selector, &mut via_dispatch);
-        xor_select_scalar(&records, 7, &selector, &mut via_scalar);
-        assert_eq!(via_dispatch, via_scalar);
+        let mut accumulator = vec![0u8; 7];
+        xor_select_into(&records, 7, &selector, &mut accumulator);
+        assert_eq!(accumulator, oracle(&records, 7, &selector));
     }
 
     #[test]
@@ -853,20 +432,11 @@ mod tests {
         xor_select_into(&[0u8; 8], 8, &selector, &mut acc);
     }
 
-    #[test]
-    #[should_panic(expected = "does not match")]
-    fn kernel_shape_mismatch_panics() {
-        let selector = SelectorVector::zeros(4);
-        let mut acc = vec![0u8; 8];
-        let mut acc_words = Vec::new();
-        UnrolledKernel.xor_select(&[0u8; 8], 8, &selector, &mut acc, &mut acc_words);
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
         #[test]
-        fn prop_every_kernel_matches_scalar(
+        fn prop_fast_path_matches_scalar(
             count in 1usize..300,
             record_size in 1usize..=257,
             density in 0u8..=4,
@@ -880,36 +450,25 @@ mod tests {
                 2 => (0..count).map(|i| i % 61 == 0).collect(),
                 _ => (0..count).map(|_| rng.gen()).collect(),
             };
-            let expected = oracle(&records, record_size, &selector);
-            let mut acc_words = Vec::new();
-            for &kernel in kernels() {
-                let mut accumulator = vec![0u8; record_size];
-                kernel.xor_select(
-                    &records,
-                    record_size,
-                    &selector,
-                    &mut accumulator,
-                    &mut acc_words,
-                );
-                prop_assert_eq!(
-                    &accumulator,
-                    &expected,
-                    "kernel={} record_size={}",
-                    kernel.name(),
-                    record_size
-                );
-            }
+            let mut accumulator = vec![0u8; record_size];
+            xor_select_into(&records, record_size, &selector, &mut accumulator);
+            prop_assert_eq!(
+                &accumulator,
+                &oracle(&records, record_size, &selector),
+                "record_size={}",
+                record_size
+            );
         }
 
         #[test]
-        fn prop_kernels_agree_on_offset_chunks(
+        fn prop_fast_path_agrees_on_offset_chunks(
             count in 65usize..300,
             record_size in 1usize..64,
             offset in 1usize..64,
             seed in any::<u64>(),
         ) {
-            // The threaded scan hands each worker a record-range chunk whose
-            // selector slice starts at an arbitrary offset; every kernel
+            // A shard is a record-range chunk whose selector slice starts at
+            // an arbitrary bit offset of the full-domain selector; the scan
             // must agree with the oracle on such unaligned sub-scans.
             let offset = offset.min(count - 1);
             let chunk_records = count - offset;
@@ -918,36 +477,9 @@ mod tests {
             let selector: SelectorVector = (0..count).map(|_| rng.gen()).collect();
             let chunk = &records[offset * record_size..];
             let chunk_selector = selector.slice(offset, chunk_records);
-            let expected = oracle(chunk, record_size, &chunk_selector);
-            let mut acc_words = Vec::new();
-            for &kernel in kernels() {
-                let mut accumulator = vec![0u8; record_size];
-                kernel.xor_select(
-                    chunk,
-                    record_size,
-                    &chunk_selector,
-                    &mut accumulator,
-                    &mut acc_words,
-                );
-                prop_assert_eq!(&accumulator, &expected, "kernel={}", kernel.name());
-            }
-        }
-
-        #[test]
-        fn prop_wide_matches_scalar(
-            count in 1usize..300,
-            words_per_record in 1usize..6,
-            seed in any::<u64>(),
-        ) {
-            let record_size = 8 * words_per_record;
-            let records = random_records(count, record_size, seed);
-            let mut rng = StdRng::seed_from_u64(seed ^ 0xabcdef);
-            let selector: SelectorVector = (0..count).map(|_| rng.gen()).collect();
-            let mut scalar = vec![0u8; record_size];
-            let mut wide = vec![0u8; record_size];
-            xor_select_scalar(&records, record_size, &selector, &mut scalar);
-            xor_select_wide(&records, record_size, &selector, &mut wide);
-            prop_assert_eq!(scalar, wide);
+            let mut accumulator = vec![0u8; record_size];
+            xor_select_into(chunk, record_size, &chunk_selector, &mut accumulator);
+            prop_assert_eq!(&accumulator, &oracle(chunk, record_size, &chunk_selector));
         }
 
         #[test]

@@ -114,7 +114,7 @@
 //!
 //! *What a deployment looks like* is itself data: a
 //! [`topology::FleetTopology`] names every replica (listen address,
-//! backend kind and geometry, shard policy, journal depth, scan kernel)
+//! backend kind and geometry, shard policy, journal depth)
 //! plus the client-side retry policy and an optional front-tier router,
 //! parsed from a hand-rolled line-oriented config file (hostile input
 //! decodes to [`PirError::Config`] with line numbers, never a panic) and

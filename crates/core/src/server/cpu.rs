@@ -3,22 +3,18 @@
 //! This backend performs exactly the same work as [`crate::server::pim`]
 //! but keeps the `dpXOR` scan on CPU threads, moving every database byte
 //! from DRAM through the cache hierarchy — the data-movement cost IM-PIR is
-//! designed to avoid. With `scan_threads = 1` it matches the paper's
-//! CPU-PIR baseline configuration ("a single CPU thread for each query,
-//! accelerated with AVX"); with more threads one query's scan fans
-//! record-range chunks out over real threads (per-chunk accumulators
-//! XOR-merged at the end), an upper bound on what a
-//! processor-centric server can do. The scan itself runs whichever
-//! [`crate::dpxor::ScanKernel`] the config selects — by default the fastest
-//! one for this host ([`crate::dpxor::best_kernel`]).
+//! designed to avoid. One query's scan is one call of
+//! [`crate::dpxor::xor_select_into_with`] on one thread — the paper's
+//! CPU-PIR baseline ("a single CPU thread for each query, accelerated with
+//! AVX"); a wave's queries scan side by side, one per core, and splitting a
+//! single query's scan over cores is what sharding does one layer up
+//! ([`crate::engine::QueryEngine`]).
 
 use std::sync::Arc;
 
 use impir_dpf::{host_parallelism, EvalStrategy, SelectorVector};
 
 use crate::database::Database;
-use crate::dpxor;
-use crate::dpxor::KernelChoice;
 use crate::error::PirError;
 use crate::protocol::{QueryShare, ServerResponse};
 use crate::server::phases::{PhaseBreakdown, PhaseTime};
@@ -29,39 +25,25 @@ use crate::server::{timed, PirServer};
 pub struct CpuServerConfig {
     /// Strategy for expanding the DPF key over the database domain.
     pub eval_strategy: EvalStrategy,
-    /// Number of threads used for the `dpXOR` scan of one query
-    /// (1 = the paper's baseline configuration). With more than one, the
-    /// scan fans record-range chunks out over real threads (the calling
-    /// thread is one of them) and XOR-merges the per-chunk accumulators.
-    pub scan_threads: usize,
-    /// Which [`dpxor::ScanKernel`] the scan runs — [`KernelChoice::Auto`]
-    /// self-benchmarks once per process ([`dpxor::best_kernel`]); the other
-    /// variants force a specific kernel (A/B runs, oracle comparisons).
-    /// Every choice is byte-identical; only speed differs.
-    pub scan_kernel: KernelChoice,
 }
 
 impl CpuServerConfig {
-    /// The paper's CPU-PIR baseline: single-threaded scan, level-by-level
-    /// evaluation, self-benchmarked scan kernel.
+    /// The paper's CPU-PIR baseline: level-by-level evaluation.
     #[must_use]
     pub fn baseline() -> Self {
         CpuServerConfig {
             eval_strategy: EvalStrategy::LevelByLevel,
-            scan_threads: 1,
-            scan_kernel: KernelChoice::Auto,
         }
     }
 
-    /// A multi-threaded CPU server using all available cores for both
-    /// evaluation and scanning.
+    /// A CPU server that spreads one query's DPF evaluation over all
+    /// available cores.
     #[must_use]
     pub fn multithreaded() -> Self {
-        let threads = host_parallelism();
         CpuServerConfig {
-            eval_strategy: EvalStrategy::SubtreeParallel { threads },
-            scan_threads: threads,
-            scan_kernel: KernelChoice::Auto,
+            eval_strategy: EvalStrategy::SubtreeParallel {
+                threads: host_parallelism(),
+            },
         }
     }
 
@@ -69,38 +51,27 @@ impl CpuServerConfig {
     ///
     /// # Errors
     ///
-    /// Returns [`PirError::Config`] if `scan_threads` is zero or the
-    /// evaluation strategy is degenerate (zero subtree-parallel threads).
+    /// Returns [`PirError::Config`] if the evaluation strategy is
+    /// degenerate (zero subtree-parallel threads).
     pub fn validate(&self) -> Result<(), PirError> {
-        if self.scan_threads == 0 {
-            return Err(PirError::Config {
-                reason: "scan_threads must be at least 1".to_string(),
-            });
-        }
         crate::engine::validate_eval_strategy(&self.eval_strategy)
     }
 
     /// Number of concurrent wave slots a server under this configuration
-    /// runs: each slot scans with `scan_threads` threads, so the slot count
-    /// shrinks as per-query parallelism grows, and total threads never
-    /// exceed the host's parallelism. The single definition backing both
+    /// runs: each slot scans on one thread, so a wave is one query per core
+    /// ([`host_parallelism`]). The single definition backing both
     /// [`crate::batch::BatchExecutor::wave_width`] and the declared
     /// capacity profile, so the planner can never predict wave counts the
     /// backend does not deliver.
-    ///
-    /// Based on [`host_parallelism`] (`std::thread::available_parallelism`),
-    /// *not* the vendored rayon shim's `current_num_threads`: the shim is
-    /// sequential and says nothing about how many scoped scan threads the
-    /// host can actually run side by side.
     #[must_use]
     pub fn wave_width(&self) -> usize {
-        (host_parallelism() / self.scan_threads.max(1)).max(1)
+        host_parallelism()
     }
 
     /// The **declared** [`crate::capacity::CapacityProfile`] of a CPU
     /// server under this configuration: record capacity bounded only by
-    /// host memory, one wave slot scanning at `scan_threads` threads' worth
-    /// of the declared per-thread DRAM bandwidth
+    /// host memory, one wave slot scanning at one thread's worth of the
+    /// declared per-thread DRAM bandwidth
     /// ([`crate::capacity::HOST_SCAN_BANDWIDTH_PER_THREAD`] — refine with
     /// [`crate::capacity::measure_scan_bandwidth`]), and the wave width the
     /// backend itself reports ([`CpuServerConfig::wave_width`]).
@@ -115,7 +86,7 @@ impl CpuServerConfig {
             _ => 1,
         };
         crate::capacity::CapacityProfile::unbounded(
-            self.scan_threads as f64 * crate::capacity::HOST_SCAN_BANDWIDTH_PER_THREAD,
+            crate::capacity::HOST_SCAN_BANDWIDTH_PER_THREAD,
             eval_threads as f64 * crate::capacity::HOST_EVAL_LEAVES_PER_SEC_PER_THREAD,
             self.wave_width(),
         )
@@ -198,41 +169,10 @@ impl CpuPirServer {
         Ok(())
     }
 
-    /// The `dpXOR` scan over the full database with `scan_threads` threads.
-    ///
-    /// Record-range chunks fan out over `scan_threads` workers — the
-    /// calling thread is the last of them ([`impir_dpf::fan_out`]), so the
-    /// baseline's single-threaded scan runs right here — and the per-chunk
-    /// accumulators are XOR-merged at the end; XOR-linearity makes the
-    /// split invisible in the result. Chunk boundaries are rounded up to
-    /// 64-record multiples so every worker's selector slice is word-aligned
-    /// (a pure sub-slice of the packed selector words, no bit shifting).
+    /// The `dpXOR` scan over the full database, on the calling thread.
     fn scan(&self, selector: &SelectorVector) -> Vec<u8> {
-        let record_size = self.database.record_size();
-        let num_records = self.database.num_records() as usize;
-        let kernel = self.config.scan_kernel.resolve();
-        let threads = self.config.scan_threads.min(num_records.max(1));
-        let per_thread = num_records.div_ceil(threads).next_multiple_of(64);
-        let partials = impir_dpf::fan_out(0..threads, |thread| {
-            let mut accumulator = vec![0u8; record_size];
-            let start = thread * per_thread;
-            if start < num_records {
-                let count = per_thread.min(num_records - start);
-                let chunk = self.database.record_chunk(start as u64, count as u64);
-                let chunk_selector = selector.slice(start, count);
-                self.scan_scratches.with(|acc_words| {
-                    kernel.xor_select(
-                        chunk,
-                        record_size,
-                        &chunk_selector,
-                        &mut accumulator,
-                        acc_words,
-                    );
-                });
-            }
-            accumulator
-        });
-        dpxor::xor_reduce(&partials, record_size)
+        self.scan_scratches
+            .with(|acc_words| self.database.xor_select_with(selector, acc_words))
     }
 }
 
@@ -303,10 +243,8 @@ impl crate::batch::BatchExecutor for CpuPirServer {
     }
 
     fn wave_width(&self) -> usize {
-        // The baseline (§5.1, "a single CPU thread for each query") runs
-        // one query per core, while a fully multithreaded server — or the
-        // GPU comparator, which serialises queries on the device — runs
-        // one query at a time (see `CpuServerConfig::wave_width`).
+        // §5.1, "a single CPU thread for each query": one query per core
+        // (see `CpuServerConfig::wave_width`).
         self.config.wave_width()
     }
 
@@ -455,85 +393,11 @@ mod tests {
     }
 
     #[test]
-    fn threaded_scans_are_byte_identical_to_single_threaded() {
-        // The acceptance pin: scan_threads > 1 must change nothing but
-        // speed. Odd record sizes included so the chunked path also covers
-        // the word+tail kernel route.
-        for record_size in [24usize, 33] {
-            let db = Arc::new(Database::random(1000, record_size, 21).unwrap());
-            let mut client = PirClient::new(1000, record_size, 8).unwrap();
-            let (q1, _) = client.generate_query(517).unwrap();
-            let reference = {
-                let mut server = CpuPirServer::new(
-                    db.clone(),
-                    CpuServerConfig {
-                        eval_strategy: EvalStrategy::LevelByLevel,
-                        scan_threads: 1,
-                        scan_kernel: KernelChoice::Auto,
-                    },
-                )
-                .unwrap();
-                server.process_query(&q1).unwrap().0
-            };
-            for scan_threads in [2usize, 3, 4, 7] {
-                let mut server = CpuPirServer::new(
-                    db.clone(),
-                    CpuServerConfig {
-                        eval_strategy: EvalStrategy::LevelByLevel,
-                        scan_threads,
-                        scan_kernel: KernelChoice::Auto,
-                    },
-                )
-                .unwrap();
-                let (response, _) = server.process_query(&q1).unwrap();
-                assert_eq!(
-                    response.payload, reference.payload,
-                    "scan_threads={scan_threads} record_size={record_size}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn every_kernel_choice_is_byte_identical() {
-        let db = Arc::new(Database::random(500, 40, 33).unwrap());
-        let mut client = PirClient::new(500, 40, 14).unwrap();
-        let (q1, _) = client.generate_query(123).unwrap();
-        let mut payloads = Vec::new();
-        for scan_kernel in [
-            KernelChoice::Auto,
-            KernelChoice::Scalar,
-            KernelChoice::Wide,
-            KernelChoice::Unrolled,
-        ] {
-            let mut server = CpuPirServer::new(
-                db.clone(),
-                CpuServerConfig {
-                    eval_strategy: EvalStrategy::LevelByLevel,
-                    scan_threads: 2,
-                    scan_kernel,
-                },
-            )
-            .unwrap();
-            payloads.push(server.process_query(&q1).unwrap().0.payload);
-        }
-        for payload in &payloads[1..] {
-            assert_eq!(payload, &payloads[0]);
-        }
-    }
-
-    #[test]
-    fn wave_width_is_independent_of_the_rayon_shim() {
-        // scan_threads ≥ host parallelism collapses the wave to one slot;
-        // a single-thread scan frees every core for concurrent slots.
-        let threads = impir_dpf::host_parallelism();
-        let config = CpuServerConfig {
-            eval_strategy: EvalStrategy::LevelByLevel,
-            scan_threads: threads,
-            scan_kernel: KernelChoice::Auto,
-        };
-        assert_eq!(config.wave_width(), 1);
-        assert_eq!(CpuServerConfig::baseline().wave_width(), threads);
+    fn wave_width_is_the_host_parallelism() {
+        assert_eq!(
+            CpuServerConfig::baseline().wave_width(),
+            impir_dpf::host_parallelism()
+        );
     }
 
     #[test]
@@ -541,24 +405,11 @@ mod tests {
         let db = Arc::new(Database::random(10, 8, 0).unwrap());
         let config = CpuServerConfig {
             eval_strategy: EvalStrategy::SubtreeParallel { threads: 0 },
-            scan_threads: 1,
-            scan_kernel: KernelChoice::Auto,
         };
         assert!(matches!(
             CpuPirServer::new(db, config),
             Err(PirError::Config { .. })
         ));
-    }
-
-    #[test]
-    fn zero_scan_threads_is_rejected() {
-        let db = Arc::new(Database::random(10, 8, 0).unwrap());
-        let config = CpuServerConfig {
-            eval_strategy: EvalStrategy::LevelByLevel,
-            scan_threads: 0,
-            scan_kernel: KernelChoice::Auto,
-        };
-        assert!(CpuPirServer::new(db, config).is_err());
     }
 
     proptest! {
@@ -568,15 +419,12 @@ mod tests {
         fn prop_retrieval_is_correct_for_random_geometries(
             num_records in 2u64..600,
             record_words in 1usize..5,
-            scan_threads in 1usize..5,
             seed in any::<u64>(),
         ) {
             let record_size = record_words * 8;
             let db = Arc::new(Database::random(num_records, record_size, seed).unwrap());
             let config = CpuServerConfig {
                 eval_strategy: EvalStrategy::MemoryBounded { chunk_bits: 6 },
-                scan_threads,
-                scan_kernel: KernelChoice::Auto,
             };
             let mut s1 = CpuPirServer::new(db.clone(), config.clone()).unwrap();
             let mut s2 = CpuPirServer::new(db.clone(), config).unwrap();

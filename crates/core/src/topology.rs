@@ -60,7 +60,6 @@ use std::time::Duration;
 use crate::batch::{BatchConfig, UpdatableBackend};
 use crate::capacity::{measure_scan_bandwidth, CapacityProfile, ShardPlanner};
 use crate::database::Database;
-use crate::dpxor::KernelChoice;
 use crate::engine::{EngineConfig, QueryEngine, DEFAULT_JOURNAL_BATCHES};
 use crate::error::PirError;
 use crate::server::cpu::{CpuPirServer, CpuServerConfig};
@@ -225,9 +224,6 @@ pub struct ReplicaSpec {
     pub backend: BackendSpec,
     /// Per-replica shard policy; `None` inherits the fleet's.
     pub sharding: Option<ShardPolicy>,
-    /// Per-replica `dpXOR` kernel choice (CPU backends only); `None`
-    /// inherits the fleet's.
-    pub scan_kernel: Option<KernelChoice>,
 }
 
 impl ReplicaSpec {
@@ -240,7 +236,6 @@ impl ReplicaSpec {
             listen: None,
             backend: BackendSpec::Cpu,
             sharding: None,
-            scan_kernel: None,
         }
     }
 
@@ -254,7 +249,6 @@ impl ReplicaSpec {
             listen: Some(listen.into()),
             backend: BackendSpec::Cpu,
             sharding: None,
-            scan_kernel: None,
         }
     }
 }
@@ -292,9 +286,6 @@ pub struct FleetTopology {
     /// Update-journal retention, in applied batches (0 disables the
     /// journal — a diverged replica then needs a re-seed).
     pub journal_batches: usize,
-    /// Fleet-wide `dpXOR` kernel choice for CPU replicas (replicas may
-    /// override).
-    pub scan_kernel: KernelChoice,
     /// Whether serving replicas rebalance their shard layout live from
     /// measured skew.
     pub rebalance: RebalanceMode,
@@ -326,7 +317,6 @@ impl FleetTopology {
             seed,
             sharding: ShardPolicy::Uniform(1),
             journal_batches: DEFAULT_JOURNAL_BATCHES,
-            scan_kernel: KernelChoice::Auto,
             rebalance: RebalanceMode::Off,
             io_timeout_ms: 50,
             max_sessions: None,
@@ -384,7 +374,6 @@ impl FleetTopology {
         let _ = writeln!(out, "seed = {}", self.seed);
         write_sharding(&mut out, self.sharding);
         let _ = writeln!(out, "journal-batches = {}", self.journal_batches);
-        let _ = writeln!(out, "scan-kernel = {}", self.scan_kernel);
         let _ = writeln!(out, "rebalance = {}", self.rebalance);
         let _ = writeln!(out, "io-timeout-ms = {}", self.io_timeout_ms);
         // `max-sessions` has no "unlimited" spelling — absence is the
@@ -419,9 +408,6 @@ impl FleetTopology {
             if let Some(sharding) = replica.sharding {
                 write_sharding(&mut out, sharding);
             }
-            if let Some(kernel) = replica.scan_kernel {
-                let _ = writeln!(out, "scan-kernel = {kernel}");
-            }
         }
         if let Some(router) = &self.router {
             out.push_str("\n[router]\n");
@@ -439,8 +425,8 @@ impl FleetTopology {
     /// Returns [`PirError::Config`] for: an empty database geometry, no
     /// replicas, duplicate or malformed replica names, a TCP replica
     /// without a listen address, zero shard counts, zero DPUs/clusters, a
-    /// `scan-kernel` on a PIM replica, a zero I/O timeout or retry
-    /// attempt count, and a router over non-TCP replicas.
+    /// zero I/O timeout or retry attempt count, and a router over non-TCP
+    /// replicas.
     pub fn validate(&self) -> Result<(), PirError> {
         if self.records == 0 {
             return config("the fleet needs at least 1 record");
@@ -489,11 +475,6 @@ impl FleetTopology {
                             "replica `{name}`: dpus and clusters must be at least 1"
                         ));
                     }
-                    if replica.scan_kernel.is_some() {
-                        return config(format!(
-                            "replica `{name}`: scan-kernel applies to the cpu backend only"
-                        ));
-                    }
                 }
             }
         }
@@ -538,8 +519,8 @@ impl FleetTopology {
 
     /// Builds the engine replica `replica` runs: the one construction path
     /// behind `impir-server`, the examples and the topology-based client
-    /// constructors. The replica's backend kind, shard policy and kernel
-    /// choice (falling back to the fleet's) decide what gets built;
+    /// constructors. The replica's backend kind and shard policy (falling
+    /// back to the fleet's) decide what gets built;
     /// `autoshard` policies run the capacity planner (with probe-scan
     /// calibration for [`ShardPolicy::Calibrated`]).
     ///
@@ -562,7 +543,7 @@ impl FleetTopology {
         let factory = self.backend_factory(replica)?;
         match spec.backend {
             BackendSpec::Cpu => {
-                let cpu_config = self.cpu_backend_config(spec);
+                let cpu_config = CpuServerConfig::baseline();
                 let engine_config = EngineConfig {
                     journal_batches: self.journal_batches,
                     ..EngineConfig::default()
@@ -633,13 +614,10 @@ impl FleetTopology {
             ),
         })?;
         match spec.backend {
-            BackendSpec::Cpu => {
-                let config = self.cpu_backend_config(spec);
-                Ok(Box::new(move |shard_db, _| {
-                    CpuPirServer::new(shard_db, config.clone())
-                        .map(|server| Box::new(server) as BoxedBackend)
-                }))
-            }
+            BackendSpec::Cpu => Ok(Box::new(|shard_db, _| {
+                CpuPirServer::new(shard_db, CpuServerConfig::baseline())
+                    .map(|server| Box::new(server) as BoxedBackend)
+            })),
             BackendSpec::Pim { dpus, clusters } => {
                 let config = Self::pim_backend_config(dpus, clusters);
                 Ok(Box::new(move |shard_db, _| {
@@ -647,15 +625,6 @@ impl FleetTopology {
                         .map(|server| Box::new(server) as BoxedBackend)
                 }))
             }
-        }
-    }
-
-    /// The CPU backend config a replica runs (kernel choice resolved
-    /// against the fleet default).
-    fn cpu_backend_config(&self, spec: &ReplicaSpec) -> CpuServerConfig {
-        CpuServerConfig {
-            scan_kernel: spec.scan_kernel.unwrap_or(self.scan_kernel),
-            ..CpuServerConfig::baseline()
         }
     }
 
@@ -792,7 +761,6 @@ struct ReplicaBuilder {
     dpus: Option<usize>,
     clusters: Option<usize>,
     sharding: Option<ShardPolicy>,
-    scan_kernel: Option<KernelChoice>,
     seen: Vec<String>,
 }
 
@@ -802,7 +770,6 @@ struct Parser {
     seed: Option<u64>,
     sharding: Option<ShardPolicy>,
     journal_batches: Option<usize>,
-    scan_kernel: Option<KernelChoice>,
     rebalance: Option<RebalanceMode>,
     io_timeout_ms: Option<u64>,
     max_sessions: Option<usize>,
@@ -832,7 +799,6 @@ impl Parser {
             seed: None,
             sharding: None,
             journal_batches: None,
-            scan_kernel: None,
             rebalance: None,
             io_timeout_ms: None,
             max_sessions: None,
@@ -926,7 +892,6 @@ impl Parser {
                 dpus: None,
                 clusters: None,
                 sharding: None,
-                scan_kernel: None,
                 seen: Vec::new(),
             });
             self.section = Section::Replica(self.replicas.len() - 1);
@@ -985,7 +950,6 @@ impl Parser {
                 self.sharding = Some(parse_autoshard(value, line_no)?);
             }
             "journal-batches" => self.journal_batches = Some(parse_usize(key, value, line_no)?),
-            "scan-kernel" => self.scan_kernel = Some(parse_kernel(value, line_no)?),
             "rebalance" => self.rebalance = Some(parse_rebalance(value, line_no)?),
             "io-timeout-ms" => self.io_timeout_ms = Some(parse_u64(key, value, line_no)?),
             // Accepted and ignored since PR 13 (one session tier): fleet
@@ -1078,7 +1042,6 @@ impl Parser {
                 }
                 replica.sharding = Some(parse_autoshard(value, line_no)?);
             }
-            "scan-kernel" => replica.scan_kernel = Some(parse_kernel(value, line_no)?),
             other => {
                 return line_error(line_no, format!("unknown key `{other}` in {section}"));
             }
@@ -1132,7 +1095,6 @@ impl Parser {
             seed: self.seed.unwrap_or(42),
             sharding: self.sharding.unwrap_or(ShardPolicy::Uniform(1)),
             journal_batches: self.journal_batches.unwrap_or(DEFAULT_JOURNAL_BATCHES),
-            scan_kernel: self.scan_kernel.unwrap_or(KernelChoice::Auto),
             rebalance: self.rebalance.unwrap_or_default(),
             io_timeout_ms: self.io_timeout_ms.unwrap_or(50),
             max_sessions: self.max_sessions,
@@ -1176,7 +1138,6 @@ impl ReplicaBuilder {
             listen: self.listen,
             backend,
             sharding: self.sharding,
-            scan_kernel: self.scan_kernel,
         })
     }
 }
@@ -1224,14 +1185,6 @@ fn parse_rebalance(value: &str, line_no: usize) -> Result<RebalanceMode, PirErro
     })
 }
 
-fn parse_kernel(value: &str, line_no: usize) -> Result<KernelChoice, PirError> {
-    KernelChoice::parse(value).ok_or_else(|| PirError::Config {
-        reason: format!(
-            "line {line_no}: scan-kernel expects auto, scalar, wide or unrolled, got `{value}`"
-        ),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1248,7 +1201,6 @@ mod tests {
         assert_eq!(topology.seed, 42);
         assert_eq!(topology.sharding, ShardPolicy::Uniform(1));
         assert_eq!(topology.journal_batches, DEFAULT_JOURNAL_BATCHES);
-        assert_eq!(topology.scan_kernel, KernelChoice::Auto);
         assert_eq!(topology.rebalance, RebalanceMode::Off);
         assert_eq!(topology.replicas.len(), 1);
         let replica = &topology.replicas[0];
@@ -1268,7 +1220,6 @@ record-bytes = 16
 seed = 9
 autoshard = declared
 journal-batches = 8
-scan-kernel = wide
 rebalance = auto
 io-timeout-ms = 20
 session-tier = events
@@ -1281,7 +1232,6 @@ retry-io-timeout-ms = 250
 [replica cpu-0]
 listen = 127.0.0.1:7700
 shards = 2
-scan-kernel = scalar
 
 [replica pim-0]
 listen = 127.0.0.1:7701
@@ -1370,8 +1320,18 @@ max-lag-epochs = 1
 
     #[test]
     fn errors_carry_line_numbers() {
-        let cases: [(&str, &str); 6] = [
+        let cases: [(&str, &str); 8] = [
             ("[fleet]\nrecords = 64\nbogus = 1\n", "line 3"),
+            // The retired scan-kernel key is an unknown key like any other,
+            // in either section it used to live in.
+            (
+                "[fleet]\nrecords = 64\nscan-kernel = auto\n",
+                "line 3: unknown key `scan-kernel`",
+            ),
+            (
+                "[fleet]\nrecords = 64\n[replica a]\nscan-kernel = auto\n",
+                "line 4: unknown key `scan-kernel`",
+            ),
             ("[fleet]\nrecords = 64\nrecords = 65\n", "line 3"),
             ("[fleet]\nrecords = 99999999999999999999\n", "line 2"),
             ("[fleet]\nrecords = 64\n[replica a\n", "line 3"),
@@ -1403,12 +1363,6 @@ max-lag-epochs = 1
         let err = FleetTopology::parse("[fleet]\nrecords = 4\n[replica a]\ndpus = 4\n")
             .expect_err("dpus needs pim");
         assert!(err.to_string().contains("pim"), "{err}");
-        // scan-kernel on a pim replica.
-        let err = FleetTopology::parse(
-            "[fleet]\nrecords = 4\n[replica a]\nlisten = x:0\nbackend = pim\nscan-kernel = wide\n",
-        )
-        .expect_err("scan-kernel needs cpu");
-        assert!(err.to_string().contains("cpu"), "{err}");
         // A router over a local replica.
         let err = FleetTopology::parse(
             "[fleet]\nrecords = 4\n[replica a]\ntransport = local\n[router]\nlisten = x:0\n",

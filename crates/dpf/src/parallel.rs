@@ -29,10 +29,9 @@
 //!
 //! * [`EvalStrategy::eval_full`] / [`EvalStrategy::eval_range`] optimise
 //!   **single-query latency**: the subtree-parallel strategy fans its
-//!   perfect subtrees out over real threads through [`fan_out`] (the
-//!   vendored rayon shim is sequential, so data-parallel iterators would
-//!   not actually parallelise — see ROADMAP), each worker — the calling
-//!   thread is the last of them — expanding through its own scratch;
+//!   perfect subtrees out over real threads through [`fan_out`], each
+//!   worker — the calling thread is the last of them — expanding through
+//!   its own scratch;
 //! * [`EvalStrategy::eval_range_with_scratch`] optimises **steady-state
 //!   batch throughput**: it runs on the calling thread reusing one
 //!   caller-owned scratch, because the batch pipeline already runs one
@@ -60,11 +59,8 @@ pub const DEFAULT_CHUNK_BITS: u32 = 13;
 /// (`std::thread::available_parallelism`, 1 if unknown) — the single
 /// definition every thread-count default in the workspace derives from.
 /// Read once per process: the call is a `sched_getaffinity` plus cgroup
-/// file reads (≈14 µs), and query paths ask on every batch.
-///
-/// The vendored rayon shim is sequential, so `rayon::current_num_threads`
-/// says nothing about real parallelism here; thread-level parallelism comes
-/// exclusively from [`fan_out`]s sized by this function.
+/// file reads (≈14 µs), and query paths ask on every batch. Thread-level
+/// parallelism comes exclusively from [`fan_out`]s sized by this function.
 #[must_use]
 pub fn host_parallelism() -> usize {
     static HOST_PARALLELISM: std::sync::OnceLock<usize> = std::sync::OnceLock::new();

@@ -13,7 +13,6 @@
 
 use std::collections::HashMap;
 
-use impir_core::dpxor::KernelChoice;
 use impir_core::engine::DEFAULT_JOURNAL_BATCHES;
 use impir_core::topology::{
     BackendSpec, FleetTopology, RebalanceMode, ReplicaSpec, ShardPolicy, TransportKind,
@@ -24,8 +23,7 @@ use impir_core::{PirError, ShardPlan};
 pub const USAGE: &str = "usage:
   impir-server [--listen ADDR] [--records N] [--record-bytes B] [--seed S]
                [--shards K | --autoshard declared|calibrated]
-               [--backend pim|cpu] [--scan-kernel auto|scalar|wide|unrolled]
-               [--dpus D] [--clusters C] [--max-sessions N]
+               [--backend pim|cpu] [--dpus D] [--clusters C] [--max-sessions N]
                [--journal-batches N] [--io-timeout-ms T]
                [--rebalance auto|off]
   impir-server --config FILE [--replica NAME] [--max-sessions N]
@@ -55,10 +53,6 @@ pub const USAGE: &str = "usage:
                             between waves; an epoch step peers replay)
                   M = off   keep the construction-time layout (default)
 
-  --scan-kernel K dpXOR scan kernel for the cpu backend (default auto:
-                  self-benchmark once per process and keep the fastest;
-                  scalar/wide/unrolled force one — all byte-identical)
-
   --shards K      manual uniform split into K shards (default 1)
   --autoshard M   capacity-aware planning: shard count and boundaries come
                   from the backend's capacity profile (per-cluster MRAM for
@@ -73,7 +67,7 @@ pub const USAGE: &str = "usage:
 /// loudly: silently falling back to defaults would start a server whose
 /// replica does not match its peers', and every client query would then
 /// fail the geometry check.
-pub const KNOWN_FLAGS: [&str; 18] = [
+pub const KNOWN_FLAGS: [&str; 17] = [
     "listen",
     "records",
     "record-bytes",
@@ -81,7 +75,6 @@ pub const KNOWN_FLAGS: [&str; 18] = [
     "shards",
     "autoshard",
     "backend",
-    "scan-kernel",
     "dpus",
     "clusters",
     "max-sessions",
@@ -101,12 +94,13 @@ const BOOL_FLAGS: [&str; 2] = ["router", "check"];
 pub const FLAG_REPLICA_NAME: &str = "primary";
 
 /// Parses `--flag value` / `--flag=value` pairs (and the valueless
-/// `--router`/`--check` switches) into a map, rejecting unknown flags.
+/// `--router`/`--check` switches) into a map, rejecting unknown flags and
+/// repeated ones.
 ///
 /// # Errors
 ///
-/// Returns a usage-style message for non-flag tokens, unknown flags and
-/// flags missing their value.
+/// Returns a usage-style message for non-flag tokens, unknown flags, flags
+/// missing their value and a flag given twice.
 pub fn parse_options(args: &[String]) -> Result<HashMap<String, String>, String> {
     let mut options = HashMap::new();
     let mut iter = args.iter();
@@ -130,7 +124,9 @@ pub fn parse_options(args: &[String]) -> Result<HashMap<String, String>, String>
                 .ok_or_else(|| format!("flag --{name} needs a value"))?
                 .clone(),
         };
-        options.insert(name.to_string(), value);
+        if options.insert(name.to_string(), value).is_some() {
+            return Err(format!("flag --{name} given twice"));
+        }
     }
     Ok(options)
 }
@@ -201,8 +197,8 @@ pub fn check_config_flag_mix(options: &HashMap<String, String>) -> Result<(), St
 /// # Errors
 ///
 /// Returns a usage-style message for invalid or mutually exclusive flags
-/// (`--autoshard` with `--shards`, `--scan-kernel` off the cpu backend,
-/// zero shard counts or timeouts, unknown backend or autoshard modes).
+/// (`--autoshard` with `--shards`, zero shard counts or timeouts, unknown
+/// backend or autoshard modes).
 pub fn topology_from_flags(options: &HashMap<String, String>) -> Result<FleetTopology, String> {
     let listen = options
         .get("listen")
@@ -212,17 +208,6 @@ pub fn topology_from_flags(options: &HashMap<String, String>) -> Result<FleetTop
     let record_bytes = get_u64(options, "record-bytes", 32)? as usize;
     let seed = get_u64(options, "seed", 42)?;
     let backend_name = options.get("backend").map(String::as_str).unwrap_or("cpu");
-    let scan_kernel = match options.get("scan-kernel") {
-        None => KernelChoice::Auto,
-        Some(value) => {
-            if backend_name != "cpu" {
-                return Err("--scan-kernel applies to the cpu backend only".to_string());
-            }
-            KernelChoice::parse(value).ok_or_else(|| {
-                format!("--scan-kernel expects auto, scalar, wide or unrolled, got `{value}`")
-            })?
-        }
-    };
     let journal_batches =
         get_u64(options, "journal-batches", DEFAULT_JOURNAL_BATCHES as u64)? as usize;
     let io_timeout_ms = get_u64(options, "io-timeout-ms", 50)?;
@@ -286,7 +271,6 @@ pub fn topology_from_flags(options: &HashMap<String, String>) -> Result<FleetTop
     let mut topology = FleetTopology::new(records, record_bytes, seed);
     topology.sharding = sharding;
     topology.journal_batches = journal_batches;
-    topology.scan_kernel = scan_kernel;
     topology.rebalance = rebalance;
     topology.io_timeout_ms = io_timeout_ms;
     topology.replicas.push(ReplicaSpec {
@@ -295,7 +279,6 @@ pub fn topology_from_flags(options: &HashMap<String, String>) -> Result<FleetTop
         listen: Some(listen),
         backend,
         sharding: None,
-        scan_kernel: None,
     });
     topology.validate().map_err(|e| e.to_string())?;
     Ok(topology)
@@ -340,6 +323,12 @@ mod tests {
         // Gone with the second session tier in PR 13; not kept as a no-op.
         let err = parse_options(&args(&["--session-tier", "events"])).unwrap_err();
         assert!(err.contains("unknown flag --session-tier"), "{err}");
+        // Likewise the scan-kernel flag: retired, not a no-op.
+        let err = parse_options(&args(&["--scan-kernel", "auto"])).unwrap_err();
+        assert!(err.contains("unknown flag --scan-kernel"), "{err}");
+        // The second value must not silently win.
+        let err = parse_options(&args(&["--records", "4096", "--records=1024"])).unwrap_err();
+        assert!(err.contains("flag --records given twice"), "{err}");
         let err = parse_options(&args(&["records"])).unwrap_err();
         assert!(err.contains("expected a --flag"), "{err}");
         let err = parse_options(&args(&["--records"])).unwrap_err();
@@ -420,10 +409,6 @@ mod tests {
         assert!(topology_from_flags(&options)
             .unwrap_err()
             .contains("--io-timeout-ms must be at least 1"));
-        let options = parse_options(&args(&["--scan-kernel", "wide", "--backend", "pim"])).unwrap();
-        assert!(topology_from_flags(&options)
-            .unwrap_err()
-            .contains("cpu backend only"));
         let options = parse_options(&args(&["--backend", "gpu"])).unwrap();
         assert!(topology_from_flags(&options)
             .unwrap_err()

@@ -65,8 +65,6 @@ fn all_eval_strategies_lead_to_the_same_server_answer() {
             db.clone(),
             CpuServerConfig {
                 eval_strategy: strategy,
-                scan_threads: 2,
-                scan_kernel: impir_core::dpxor::KernelChoice::Unrolled,
             },
         )
         .unwrap();

@@ -5,7 +5,6 @@
 //! describes, and every checked-in `examples/topologies/*.fleet` file
 //! must stay valid.
 
-use im_pir::core::dpxor::KernelChoice;
 use im_pir::core::topology::{
     BackendSpec, FleetTopology, ReplicaSpec, RetrySpec, RouterSpec, ShardPolicy, TransportKind,
 };
@@ -38,7 +37,6 @@ fn arbitrary_topology(seed: u64) -> FleetTopology {
     );
     topology.sharding = arbitrary_sharding(rng);
     topology.journal_batches = rng.gen_range(0..1024usize);
-    topology.scan_kernel = arbitrary_kernel(rng);
     topology.io_timeout_ms = rng.gen_range(1..100_000u64);
     topology.retry = RetrySpec {
         attempts: rng.gen_range(1..64u32),
@@ -64,9 +62,6 @@ fn arbitrary_topology(seed: u64) -> FleetTopology {
                 dpus: rng.gen_range(1..64usize),
                 clusters: rng.gen_range(1..16usize),
             };
-        } else if rng.gen_range(0..2u32) == 0 {
-            // Scan-kernel overrides are a cpu-only concept.
-            replica.scan_kernel = Some(arbitrary_kernel(rng));
         }
         if rng.gen_range(0..2u32) == 0 {
             replica.sharding = Some(arbitrary_sharding(rng));
@@ -88,15 +83,6 @@ fn arbitrary_sharding(rng: &mut StdRng) -> ShardPolicy {
         0 => ShardPolicy::Uniform(rng.gen_range(1..64usize)),
         1 => ShardPolicy::Declared,
         _ => ShardPolicy::Calibrated,
-    }
-}
-
-fn arbitrary_kernel(rng: &mut StdRng) -> KernelChoice {
-    match rng.gen_range(0..4u32) {
-        0 => KernelChoice::Auto,
-        1 => KernelChoice::Scalar,
-        2 => KernelChoice::Wide,
-        _ => KernelChoice::Unrolled,
     }
 }
 
@@ -227,7 +213,6 @@ record-bytes = 64
 seed = 1234
 autoshard = declared
 journal-batches = 128
-scan-kernel = auto
 io-timeout-ms = 75
 
 [replica primary]
