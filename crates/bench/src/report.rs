@@ -3,10 +3,8 @@
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use serde::{Deserialize, Serialize};
-
 /// One point of one series (one bar or one marker of a paper figure).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DataPoint {
     /// Label of the x position (e.g. `1 GB`, `batch=32`).
     pub x_label: String,
@@ -29,7 +27,7 @@ impl DataPoint {
 }
 
 /// One series of a figure (one line/bar group, e.g. `IM-PIR measured`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Series {
     /// Series name shown in the legend.
     pub name: String,
@@ -57,7 +55,7 @@ impl Series {
 }
 
 /// A full report for one paper figure or table.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FigureReport {
     /// Stable identifier (`fig9a`, `table1`, …).
     pub id: String,
@@ -125,8 +123,8 @@ impl FigureReport {
 
     /// Renders the report as pretty-printed JSON.
     ///
-    /// (Hand-rolled rather than via `serde_json`: the offline build vendors
-    /// a no-op serde stand-in, and the report structure is small and fixed.)
+    /// (Hand-rolled: the report structure is small and fixed, and the
+    /// offline build has no JSON crate.)
     #[must_use]
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n");

@@ -37,7 +37,6 @@
 use std::time::Instant;
 
 use impir_dpf::SelectorVector;
-use serde::{Deserialize, Serialize};
 
 use crate::error::PirError;
 use crate::protocol::{QueryShare, ServerResponse};
@@ -191,7 +190,7 @@ pub trait BatchExecutor: PirServer {
 /// Returned both by backend-level [`UpdatableBackend::apply_updates`] and by
 /// the engine-level [`crate::engine::QueryEngine::apply_updates`]; in the
 /// engine case the counters aggregate over all shards.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct UpdateOutcome {
     /// Number of update entries applied (duplicated indices count once per
     /// entry; the last entry for an index wins).

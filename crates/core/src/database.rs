@@ -8,7 +8,6 @@
 use impir_dpf::SelectorVector;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::dpxor;
 use crate::error::PirError;
@@ -27,7 +26,7 @@ use crate::error::PirError;
 /// assert_eq!(db.size_bytes(), 1024 * 32);
 /// # Ok::<(), impir_core::PirError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Database {
     record_size: usize,
     num_records: u64,

@@ -72,6 +72,7 @@ use crate::protocol::{QueryShare, ServerResponse};
 use crate::server::phases::{PhaseBreakdown, PhaseTime};
 use crate::server::BatchOutcome;
 use crate::shard::{ShardPlan, ShardedDatabase};
+use crate::wire::{update_batch_frame_bytes, Frame, ServerInfo, FRAME_HEADER_BYTES, WIRE_VERSION};
 
 /// Configuration of a [`QueryEngine`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -850,6 +851,96 @@ impl<S: UpdatableBackend + Send + Sync> QueryEngine<S> {
             bytes_pushed,
             simulated_seconds,
             epoch: self.epoch,
+        })
+    }
+
+    /// Answers one request frame — the server's whole protocol surface in
+    /// one function. A replica's dispatcher runs every request but query
+    /// batches through here (it coalesces those across sessions first),
+    /// and [`crate::transport::LocalTransport`] runs every request through
+    /// here, so an in-process replica and a remote one give the same
+    /// answers by construction.
+    ///
+    /// A `Hello` is answered with a `HelloAck` (the session tier checks the
+    /// version before it forwards one). A journal replay is sent as the
+    /// longest prefix of the missing batches whose `UpdateReplay` frame
+    /// fits `max_reply_bytes`; the client asks again from its advanced
+    /// epoch until it has caught up.
+    ///
+    /// # Errors
+    ///
+    /// The engine's own errors, typed (so a local caller sees, e.g.,
+    /// [`PirError::QueryDomainMismatch`] or [`PirError::JournalTruncated`]);
+    /// a server turns them into reply frames with
+    /// [`crate::wire::error_reply`]. [`PirError::Protocol`] for a frame that
+    /// is not a request, and for a replay whose next batch alone exceeds
+    /// `max_reply_bytes`.
+    pub fn handle(&mut self, request: Frame, max_reply_bytes: usize) -> Result<Frame, PirError> {
+        let info = ServerInfo {
+            num_records: self.num_records,
+            record_size: self.record_size,
+            shard_count: self.shards.len(),
+            epoch: self.epoch,
+        };
+        Ok(match request {
+            Frame::Hello { .. } => Frame::HelloAck {
+                version: WIRE_VERSION,
+                info,
+            },
+            Frame::InfoRequest => Frame::Info { info },
+            Frame::EpochInfoRequest => Frame::EpochInfo {
+                info: self.epoch_info(),
+            },
+            Frame::QueryBatch { shares } => {
+                let outcome = self.execute_batch(&shares)?;
+                Frame::ResponseBatch {
+                    epoch: self.epoch,
+                    wall_seconds: outcome.wall_seconds,
+                    phases: outcome.phase_totals,
+                    responses: outcome.responses,
+                }
+            }
+            Frame::SelectorScan { selector } => {
+                let (payload, phases) = self.scan_selector(&selector)?;
+                Frame::SelectorResult {
+                    epoch: self.epoch,
+                    payload,
+                    phases,
+                }
+            }
+            Frame::UpdateBatch { updates } => Frame::UpdateAck {
+                outcome: self.apply_updates(&updates)?,
+            },
+            Frame::UpdateReplayRequest { from_epoch } => {
+                let batches = self.replay_updates(from_epoch)?;
+                let pending = batches.len();
+                let mut body = 1 + 4; // the tag and the batch-count prefix
+                let mut sent: Vec<UpdateBatch> = Vec::new();
+                for batch in batches {
+                    body += update_batch_frame_bytes(&batch) - FRAME_HEADER_BYTES;
+                    if body > max_reply_bytes {
+                        break;
+                    }
+                    sent.push(batch);
+                }
+                if sent.is_empty() && pending > 0 {
+                    // Never degrade this to an empty reply: the client
+                    // reads empty as "caught up" and would stay lagging.
+                    return Err(PirError::Protocol {
+                        reason: format!(
+                            "replay from epoch {from_epoch} cannot proceed: the next journalled \
+                             batch alone exceeds the replay frame bound of {max_reply_bytes} \
+                             bytes; re-seed the lagging replica from a current snapshot"
+                        ),
+                    });
+                }
+                Frame::UpdateReplay { batches: sent }
+            }
+            other => {
+                return Err(PirError::Protocol {
+                    reason: format!("a {} frame is not a request", other.name()),
+                })
+            }
         })
     }
 

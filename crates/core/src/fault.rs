@@ -39,8 +39,10 @@ use crate::batch::UpdateOutcome;
 use crate::error::PirError;
 use crate::journal::UpdateBatch;
 use crate::protocol::QueryShare;
-use crate::transport::{EpochInfo, PirTransport, ScanResult, ServerInfo, TransportBatch};
-use crate::wire::{FRAME_HEADER_BYTES, MAX_FRAME_BYTES};
+use crate::transport::{
+    EpochInfo, PirTransport, RoundTrip, ScanResult, ServerInfo, TransportBatch,
+};
+use crate::wire::{Frame, FRAME_HEADER_BYTES, MAX_FRAME_BYTES};
 
 // ---------------------------------------------------------------------------
 // Fault actions and schedules
@@ -246,7 +248,14 @@ impl FaultInjectingTransport {
     }
 }
 
+/// The typed operations are overridden, not inherited from `round_trip`, so
+/// that each one — a multi-round-trip replay included — is one scheduled
+/// operation, as the schedules' hand-placed indices assume.
 impl PirTransport for FaultInjectingTransport {
+    fn round_trip(&mut self, request: Frame) -> Result<RoundTrip, PirError> {
+        self.around("round_trip", |inner| inner.round_trip(request))
+    }
+
     fn server_info(&mut self) -> Result<ServerInfo, PirError> {
         self.around("server_info", |inner| inner.server_info())
     }

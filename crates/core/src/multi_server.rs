@@ -406,46 +406,20 @@ mod tests {
     }
 
     impl crate::transport::PirTransport for InterleavingTransport {
-        fn server_info(&mut self) -> Result<crate::transport::ServerInfo, PirError> {
-            self.inner.server_info()
-        }
-
-        fn query_batch(
+        fn round_trip(
             &mut self,
-            shares: &[crate::protocol::QueryShare],
-        ) -> Result<crate::transport::TransportBatch, PirError> {
-            self.inner.query_batch(shares)
-        }
-
-        fn scan_selector(
-            &mut self,
-            selector: &impir_dpf::SelectorVector,
-        ) -> Result<crate::transport::ScanResult, PirError> {
-            let scan = self.inner.scan_selector(selector)?;
-            self.scans += 1;
-            if self.scans == 1 || self.update_every_scan {
-                let record_size = self.inner.engine().record_size();
-                self.inner.apply_updates(&[(0, vec![0xEE; record_size])])?;
+            request: crate::wire::Frame,
+        ) -> Result<crate::transport::RoundTrip, PirError> {
+            let scan = matches!(request, crate::wire::Frame::SelectorScan { .. });
+            let exchange = self.inner.round_trip(request)?;
+            if scan {
+                self.scans += 1;
+                if self.scans == 1 || self.update_every_scan {
+                    let record_size = self.inner.engine().record_size();
+                    self.inner.apply_updates(&[(0, vec![0xEE; record_size])])?;
+                }
             }
-            Ok(scan)
-        }
-
-        fn apply_updates(
-            &mut self,
-            updates: &[(u64, Vec<u8>)],
-        ) -> Result<crate::batch::UpdateOutcome, PirError> {
-            self.inner.apply_updates(updates)
-        }
-
-        fn epoch_info(&mut self) -> Result<crate::wire::EpochInfo, PirError> {
-            self.inner.epoch_info()
-        }
-
-        fn replay_updates(
-            &mut self,
-            from_epoch: u64,
-        ) -> Result<Vec<Vec<(u64, Vec<u8>)>>, PirError> {
-            self.inner.replay_updates(from_epoch)
+            Ok(exchange)
         }
     }
 

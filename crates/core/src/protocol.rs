@@ -2,18 +2,16 @@
 //!
 //! The protocol is deliberately minimal, matching the paper's setting: the
 //! client uploads one DPF key per server per query and each server returns
-//! one record-sized subresult. (Client↔server transport latency is outside
-//! the paper's evaluation and outside this crate; the messages are plain
-//! serde-serialisable values so any transport can carry them.)
+//! one record-sized subresult. On a socket these values travel in the
+//! frames of [`crate::wire`], whose encoding is hand-rolled there.
 
 use impir_dpf::{DpfKey, PartyId};
-use serde::{Deserialize, Serialize};
 
 use crate::error::PirError;
 
 /// The query share sent to one server: a DPF key plus a client-chosen query
 /// identifier used to match responses in batched processing.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QueryShare {
     /// Client-chosen identifier, echoed back in the response.
     pub query_id: u64,
@@ -45,7 +43,7 @@ impl QueryShare {
 
 /// A server's answer to one query share: its XOR subresult over the
 /// database.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServerResponse {
     /// The query identifier echoed from the share.
     pub query_id: u64,

@@ -8,15 +8,13 @@
 //! backend simply leaves the PIM-only phases at zero), so the harness can
 //! print the two breakdowns side by side.
 
-use serde::{Deserialize, Serialize};
-
 /// Time spent in one phase.
 ///
 /// `wall_seconds` is what this process actually measured;
 /// `simulated_seconds` is the cost model's estimate of the same work on the
 /// paper's UPMEM hardware (present only for phases that ran on the
 /// simulated PIM).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct PhaseTime {
     /// Measured wall-clock seconds.
     pub wall_seconds: f64,
@@ -90,7 +88,7 @@ impl PhaseTime {
 }
 
 /// The five server-side phases of one query (or the totals of a batch).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct PhaseBreakdown {
     /// Host-side DPF evaluation (Algorithm 1 step ➋).
     pub eval: PhaseTime,

@@ -23,7 +23,6 @@ use impir_dpf::{EvalStrategy, SelectorVector};
 use impir_pim::{
     ClusterLayout, DpuContext, DpuProgram, PimConfig, PimError, PimSystem, TaskletContext,
 };
-use serde::{Deserialize, Serialize};
 
 use crate::database::Database;
 use crate::dpxor;
@@ -36,7 +35,7 @@ use crate::server::{timed, PirServer};
 const HEADER_BYTES: usize = 16;
 
 /// Configuration of an [`ImPirServer`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ImPirConfig {
     /// The PIM system to allocate (DPU count, MRAM size, tasklets, …).
     pub pim: PimConfig,
@@ -187,7 +186,7 @@ impl Default for ImPirConfig {
 
 /// The MRAM layout used on every DPU (identical across clusters so one
 /// kernel description covers all of them).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DpuLayout {
     /// Maximum number of records any single DPU holds (`B_d = ⌈N / P_c⌉`
     /// for the smallest cluster).

@@ -20,7 +20,6 @@ use std::sync::Arc;
 
 use impir_dpf::SelectorVector;
 use impir_pim::{ClusterLayout, PimSystem};
-use serde::{Deserialize, Serialize};
 
 use crate::database::Database;
 use crate::dpxor;
@@ -34,7 +33,7 @@ use crate::server::{timed, PirServer};
 const HEADER_BYTES: usize = 16;
 
 /// Configuration of a [`StreamingImPirServer`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StreamingConfig {
     /// The underlying PIM / cluster / evaluation configuration.
     pub base: ImPirConfig,

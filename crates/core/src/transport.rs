@@ -4,14 +4,23 @@
 //! [`PirTransport`] is the client-side boundary of the service layer. A
 //! scheme ([`crate::scheme::TwoServerPir`],
 //! [`crate::multi_server::NServerNaivePir`]) holds `Box<dyn PirTransport>`
-//! per server and cannot tell the implementations apart:
+//! per server and cannot tell the implementations apart.
 //!
-//! * [`LocalTransport`] wraps a [`QueryEngine`] in-process — the
-//!   single-process object graph every deployment used before the service
-//!   layer existed, now just one policy among several;
+//! A transport implements exactly one thing: a **round trip**
+//! ([`PirTransport::round_trip`]) — one request [`Frame`] out, its reply
+//! frame back, and the bytes that moved each way. The six operations a
+//! scheme calls (info, query, scan, update, epoch info, replay) are written
+//! once, as provided methods over that round trip: they build the request,
+//! check the reply's kind and count, turn refusal frames into typed errors
+//! ([`crate::wire::check_reply`]) and run the epoch-pinned, chunked replay
+//! loop. The implementations differ only in who answers the frame:
+//!
+//! * [`LocalTransport`] hands it to a [`QueryEngine`] in-process
+//!   ([`QueryEngine::handle`], the same function a served replica runs) —
+//!   no sockets, no serialization;
 //! * [`TcpTransport`] speaks the [`crate::wire`] format over `std::net` to
-//!   an `impir-server` process (connection-per-session), so the same
-//!   client code drives in-process, mixed, or fully remote deployments;
+//!   an `impir-server` process (connection-per-session), reconnecting and
+//!   retrying idempotent requests under its [`RetryPolicy`];
 //! * [`MuxConnection`] multiplexes many logical sessions over **one** TCP
 //!   connection using [`Frame::Mux`] session ids — each
 //!   [`MuxConnection::session`] is a [`MuxSession`], a full
@@ -23,9 +32,9 @@
 //!
 //! Every transport reports the **wire cost** of each batch
 //! ([`TransportBatch::upload_bytes`] / [`TransportBatch::download_bytes`]):
-//! the TCP transport counts the bytes it actually moved, and the local
-//! transport reports what the same batch *would* cost on the wire, so cost
-//! accounting is deployment-independent too.
+//! the socket transports count the bytes they actually moved, and the
+//! local transport reports what the same frames *would* cost on the wire,
+//! so cost accounting is deployment-independent too.
 
 use std::collections::HashMap;
 use std::io::{Read as _, Write as _};
@@ -42,9 +51,7 @@ use crate::error::PirError;
 use crate::journal::UpdateBatch;
 use crate::protocol::{QueryShare, ServerResponse};
 use crate::server::phases::PhaseBreakdown;
-use crate::wire::{
-    self, protocol_error, query_batch_frame_bytes, response_batch_frame_bytes, Frame, WIRE_VERSION,
-};
+use crate::wire::{self, check_reply, protocol_error, Frame, WIRE_VERSION};
 
 pub use crate::wire::{EpochInfo, ServerInfo};
 
@@ -101,17 +108,54 @@ pub struct ScanResult {
     pub phases: PhaseBreakdown,
 }
 
+/// One request/reply exchange through a transport.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RoundTrip {
+    /// The server's reply, as sent — refusal frames
+    /// ([`Frame::Error`], [`Frame::Overloaded`], [`Frame::JournalTruncated`])
+    /// included.
+    pub reply: Frame,
+    /// Bytes of the request on the wire, framing included.
+    pub upload_bytes: u64,
+    /// Bytes of the reply on the wire, framing included.
+    pub download_bytes: u64,
+}
+
+/// The error for a reply of the wrong kind.
+fn unexpected_reply(expected: &str, got: &Frame) -> PirError {
+    protocol_error(format!("expected a {expected} reply, got {}", got.name()))
+}
+
 /// Client-side handle to one PIR server, wherever it runs.
 ///
 /// Methods take `&mut self`: a transport is a session, used by one logical
 /// client at a time (servers multiplex many sessions internally).
+/// Implementations define [`PirTransport::round_trip`] only; the typed
+/// operations are written once, here.
 pub trait PirTransport: Send {
+    /// Sends one request frame and returns the reply frame with the bytes
+    /// moved each way. The reply is returned as the server sent it, so a
+    /// refusal frame is an `Ok` here; the typed operations map refusals
+    /// to errors.
+    ///
+    /// # Errors
+    ///
+    /// [`PirError::Protocol`] when the exchange itself fails (connection
+    /// lost, malformed reply). An in-process transport returns the
+    /// engine's typed error where a server would send a refusal frame.
+    fn round_trip(&mut self, request: Frame) -> Result<RoundTrip, PirError>;
+
     /// The served database's geometry and current shard/epoch state.
     ///
     /// # Errors
     ///
     /// Returns [`PirError::Protocol`] on transport failures.
-    fn server_info(&mut self) -> Result<ServerInfo, PirError>;
+    fn server_info(&mut self) -> Result<ServerInfo, PirError> {
+        match check_reply(self.round_trip(Frame::InfoRequest)?.reply)? {
+            Frame::Info { info } => Ok(info),
+            other => Err(unexpected_reply("Info", &other)),
+        }
+    }
 
     /// Submits a batch of query shares and returns the responses (in
     /// order) with wire-cost and timing accounting.
@@ -119,8 +163,41 @@ pub trait PirTransport: Send {
     /// # Errors
     ///
     /// Propagates server-side errors (domain mismatches, backend
-    /// failures) and returns [`PirError::Protocol`] on transport failures.
-    fn query_batch(&mut self, shares: &[QueryShare]) -> Result<TransportBatch, PirError>;
+    /// failures) and returns [`PirError::Protocol`] on transport failures
+    /// or when the reply does not answer every share.
+    fn query_batch(&mut self, shares: &[QueryShare]) -> Result<TransportBatch, PirError> {
+        let started = Instant::now();
+        let exchange = self.round_trip(Frame::QueryBatch {
+            shares: shares.to_vec(),
+        })?;
+        let wall_seconds = started.elapsed().as_secs_f64();
+        match check_reply(exchange.reply)? {
+            Frame::ResponseBatch {
+                epoch,
+                wall_seconds: server_wall_seconds,
+                phases,
+                responses,
+            } => {
+                if responses.len() != shares.len() {
+                    return Err(protocol_error(format!(
+                        "server answered {} responses to {} shares",
+                        responses.len(),
+                        shares.len()
+                    )));
+                }
+                Ok(TransportBatch {
+                    responses,
+                    epoch,
+                    wall_seconds,
+                    server_wall_seconds,
+                    phase_totals: phases,
+                    upload_bytes: exchange.upload_bytes,
+                    download_bytes: exchange.download_bytes,
+                })
+            }
+            other => Err(unexpected_reply("ResponseBatch", &other)),
+        }
+    }
 
     /// Scans one full-domain linear selector share (the n-server naive
     /// scheme) and returns the XOR subresult with its epoch and phase
@@ -129,7 +206,23 @@ pub trait PirTransport: Send {
     /// # Errors
     ///
     /// As for [`PirTransport::query_batch`].
-    fn scan_selector(&mut self, selector: &SelectorVector) -> Result<ScanResult, PirError>;
+    fn scan_selector(&mut self, selector: &SelectorVector) -> Result<ScanResult, PirError> {
+        let request = Frame::SelectorScan {
+            selector: selector.clone(),
+        };
+        match check_reply(self.round_trip(request)?.reply)? {
+            Frame::SelectorResult {
+                epoch,
+                payload,
+                phases,
+            } => Ok(ScanResult {
+                payload,
+                epoch,
+                phases,
+            }),
+            other => Err(unexpected_reply("SelectorResult", &other)),
+        }
+    }
 
     /// Applies a bulk update batch (§3.3) to the server's database.
     ///
@@ -137,7 +230,15 @@ pub trait PirTransport: Send {
     ///
     /// Propagates the engine's all-or-nothing validation errors and
     /// returns [`PirError::Protocol`] on transport failures.
-    fn apply_updates(&mut self, updates: &[(u64, Vec<u8>)]) -> Result<UpdateOutcome, PirError>;
+    fn apply_updates(&mut self, updates: &[(u64, Vec<u8>)]) -> Result<UpdateOutcome, PirError> {
+        let request = Frame::UpdateBatch {
+            updates: updates.to_vec(),
+        };
+        match check_reply(self.round_trip(request)?.reply)? {
+            Frame::UpdateAck { outcome } => Ok(outcome),
+            other => Err(unexpected_reply("UpdateAck", &other)),
+        }
+    }
 
     /// The server's database epoch and update-journal coverage — what a
     /// replicated scheme consults when its replicas disagree, to decide
@@ -146,13 +247,24 @@ pub trait PirTransport: Send {
     /// # Errors
     ///
     /// Returns [`PirError::Protocol`] on transport failures.
-    fn epoch_info(&mut self) -> Result<EpochInfo, PirError>;
+    fn epoch_info(&mut self) -> Result<EpochInfo, PirError> {
+        match check_reply(self.round_trip(Frame::EpochInfoRequest)?.reply)? {
+            Frame::EpochInfo { info } => Ok(info),
+            other => Err(unexpected_reply("EpochInfo", &other)),
+        }
+    }
 
     /// The update batches a replica stuck at `from_epoch` must apply, in
     /// order, to reach this server's epoch (see
-    /// [`crate::journal::UpdateJournal::replay_from`]). Implementations
-    /// with bounded messages (TCP) may gather the replay over several
-    /// round trips, but always return the full set.
+    /// [`crate::journal::UpdateJournal::replay_from`]).
+    ///
+    /// The server bounds every reply frame, so a large lag arrives as a
+    /// *prefix* of the replay per round trip. This loops, advancing the
+    /// requested epoch by the batches received, until the server's epoch
+    /// at entry is reached or a reply comes back empty (caught up).
+    /// Pinning the target at entry bounds the loop — a concurrent writer
+    /// cannot extend it indefinitely; its tail batches are picked up by
+    /// the caller's next resync round.
     ///
     /// # Errors
     ///
@@ -160,7 +272,29 @@ pub trait PirTransport: Send {
     ///   longer reaches back to `from_epoch`;
     /// * [`PirError::Protocol`] on transport failures or when `from_epoch`
     ///   is ahead of the server.
-    fn replay_updates(&mut self, from_epoch: u64) -> Result<Vec<UpdateBatch>, PirError>;
+    fn replay_updates(&mut self, from_epoch: u64) -> Result<Vec<UpdateBatch>, PirError> {
+        let target = self.epoch_info()?.current_epoch;
+        let mut next_epoch = from_epoch;
+        let mut all: Vec<UpdateBatch> = Vec::new();
+        loop {
+            let request = Frame::UpdateReplayRequest {
+                from_epoch: next_epoch,
+            };
+            let batches = match check_reply(self.round_trip(request)?.reply)? {
+                Frame::UpdateReplay { batches } => batches,
+                other => return Err(unexpected_reply("UpdateReplay", &other)),
+            };
+            if batches.is_empty() {
+                break;
+            }
+            next_epoch += batches.len() as u64;
+            all.extend(batches);
+            if next_epoch >= target {
+                break;
+            }
+        }
+        Ok(all)
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -168,8 +302,9 @@ pub trait PirTransport: Send {
 // ---------------------------------------------------------------------------
 
 /// A [`PirTransport`] wrapping a [`QueryEngine`] in the same process — no
-/// sockets, no serialization, but the same interface and the same wire
-/// cost accounting as a remote server.
+/// sockets, no serialization, but the same interface, the same answers
+/// ([`QueryEngine::handle`]) and the same wire cost accounting as a remote
+/// server.
 #[derive(Debug)]
 pub struct LocalTransport<S: UpdatableBackend + Send + Sync> {
     engine: QueryEngine<S>,
@@ -201,48 +336,16 @@ impl<S: UpdatableBackend + Send + Sync> LocalTransport<S> {
 }
 
 impl<S: UpdatableBackend + Send + Sync> PirTransport for LocalTransport<S> {
-    fn server_info(&mut self) -> Result<ServerInfo, PirError> {
-        Ok(ServerInfo {
-            num_records: self.engine.num_records(),
-            record_size: self.engine.record_size(),
-            shard_count: self.engine.shard_count(),
-            epoch: self.engine.database_epoch(),
+    fn round_trip(&mut self, request: Frame) -> Result<RoundTrip, PirError> {
+        let upload_bytes = request.encoded_bytes() as u64;
+        // Replies are bounded like a default-configured server's, so a
+        // long replay is chunked exactly as it would be on the wire.
+        let reply = self.engine.handle(request, wire::MAX_FRAME_BYTES)?;
+        Ok(RoundTrip {
+            upload_bytes,
+            download_bytes: reply.encoded_bytes() as u64,
+            reply,
         })
-    }
-
-    fn query_batch(&mut self, shares: &[QueryShare]) -> Result<TransportBatch, PirError> {
-        let started = Instant::now();
-        let outcome = self.engine.execute_batch(shares)?;
-        Ok(TransportBatch {
-            epoch: self.engine.database_epoch(),
-            wall_seconds: started.elapsed().as_secs_f64(),
-            server_wall_seconds: outcome.wall_seconds,
-            phase_totals: outcome.phase_totals,
-            upload_bytes: query_batch_frame_bytes(shares) as u64,
-            download_bytes: response_batch_frame_bytes(&outcome.responses) as u64,
-            responses: outcome.responses,
-        })
-    }
-
-    fn scan_selector(&mut self, selector: &SelectorVector) -> Result<ScanResult, PirError> {
-        let (payload, phases) = self.engine.scan_selector(selector)?;
-        Ok(ScanResult {
-            payload,
-            epoch: self.engine.database_epoch(),
-            phases,
-        })
-    }
-
-    fn apply_updates(&mut self, updates: &[(u64, Vec<u8>)]) -> Result<UpdateOutcome, PirError> {
-        self.engine.apply_updates(updates)
-    }
-
-    fn epoch_info(&mut self) -> Result<EpochInfo, PirError> {
-        Ok(self.engine.epoch_info())
-    }
-
-    fn replay_updates(&mut self, from_epoch: u64) -> Result<Vec<UpdateBatch>, PirError> {
-        self.engine.replay_updates(from_epoch)
     }
 }
 
@@ -307,8 +410,8 @@ impl RetryPolicy {
 
 /// How one low-level exchange failed: `Io` broke the connection (the
 /// transport reconnects and, for idempotent operations, retries), `Fatal`
-/// is a definitive answer (server rejection, malformed or unexpected
-/// reply, version mismatch) that no retry can change.
+/// is a definitive answer (malformed or unexpected reply, version
+/// mismatch) that no retry can change.
 enum Failure {
     Io(String),
     Fatal(PirError),
@@ -319,9 +422,9 @@ enum Failure {
 /// session; drop it to close the session).
 ///
 /// The transport owns a [`RetryPolicy`]: when the connection breaks it
-/// reconnects and re-handshakes, and idempotent operations are retried
-/// with exponential backoff. Every transport error names the peer and the
-/// operation, so one replica's failure is attributable in a fleet's logs.
+/// reconnects and re-handshakes, and idempotent requests are retried with
+/// exponential backoff. Every failed exchange names the peer and the
+/// request, so one replica's failure is attributable in a fleet's logs.
 #[derive(Debug)]
 pub struct TcpTransport {
     stream: TcpStream,
@@ -333,6 +436,7 @@ pub struct TcpTransport {
     /// Set when the connection is known dead (an I/O failure or a framing
     /// desync); the next operation reconnects before sending.
     broken: bool,
+    /// The server info of the latest handshake.
     info: ServerInfo,
     uploaded_bytes: u64,
     downloaded_bytes: u64,
@@ -392,8 +496,8 @@ impl TcpTransport {
         Ok(transport)
     }
 
-    /// The server info captured at the handshake (refreshed by
-    /// [`PirTransport::server_info`]).
+    /// The server info captured at the latest handshake (the connect, or
+    /// the reconnect after a broken connection).
     #[must_use]
     pub fn cached_info(&self) -> ServerInfo {
         self.info
@@ -484,8 +588,8 @@ impl TcpTransport {
         }
         .encode()
         .map_err(Failure::Fatal)?;
-        let reply = self.exchange(&encoded)?;
-        match reply {
+        let (reply, _) = self.exchange(&encoded)?;
+        match check_reply(reply).map_err(Failure::Fatal)? {
             Frame::HelloAck { version, info } => {
                 if version != WIRE_VERSION {
                     self.broken = true;
@@ -500,14 +604,18 @@ impl TcpTransport {
                 self.info = info;
                 Ok(())
             }
-            other => Err(self.unexpected_frame("HelloAck", &other)),
+            other => Err(Failure::Fatal(self.operation_error(
+                "handshaking",
+                &unexpected_reply("HelloAck", &other).to_string(),
+            ))),
         }
     }
 
-    /// One request/response exchange on the current stream. I/O failures
-    /// and framing desyncs mark the connection broken; a [`Frame::Error`]
-    /// reply leaves it usable.
-    fn exchange(&mut self, encoded: &[u8]) -> Result<Frame, Failure> {
+    /// One request/response exchange on the current stream: the reply and
+    /// its size on the wire. I/O failures and framing desyncs mark the
+    /// connection broken; any decoded reply, refusals included, leaves it
+    /// usable.
+    fn exchange(&mut self, encoded: &[u8]) -> Result<(Frame, u64), Failure> {
         if let Err(err) = self.stream.write_all(encoded) {
             self.broken = true;
             return Err(Failure::Io(format!("writing request: {err}")));
@@ -520,12 +628,11 @@ impl TcpTransport {
         self.receive_reply()
     }
 
-    /// Reads one reply frame, classifying failures: socket errors are
-    /// retryable [`Failure::Io`]; malformed frames are [`Failure::Fatal`]
-    /// (the stream is desynchronized — also marked broken so the next
-    /// operation reconnects); a [`Frame::Error`] reply is fatal but leaves
-    /// the connection usable.
-    fn receive_reply(&mut self) -> Result<Frame, Failure> {
+    /// Reads one reply frame and its size on the wire, classifying
+    /// failures: socket errors are retryable [`Failure::Io`]; malformed
+    /// frames are [`Failure::Fatal`] (the stream is desynchronized — also
+    /// marked broken so the next operation reconnects).
+    fn receive_reply(&mut self) -> Result<(Frame, u64), Failure> {
         let mut prefix = [0u8; 4];
         if let Err(err) = self.stream.read_exact(&mut prefix) {
             self.broken = true;
@@ -554,33 +661,13 @@ impl TcpTransport {
             self.broken = true;
             Failure::Fatal(self.operation_error("decoding reply", &err.to_string()))
         })?;
-        if let Frame::Error { message } = reply {
-            return Err(Failure::Fatal(protocol_error(format!(
-                "server {} rejected request: {message}",
-                self.peer_label
-            ))));
-        }
-        if let Frame::Overloaded { retry_after_ms } = reply {
-            // Typed load shedding: nothing ran and the connection stays
-            // usable — surface the backoff hint instead of retrying
-            // blindly into the same saturation.
-            return Err(Failure::Fatal(PirError::Overloaded { retry_after_ms }));
-        }
-        Ok(reply)
-    }
-
-    fn unexpected_frame(&self, expected: &str, got: &Frame) -> Failure {
-        Failure::Fatal(protocol_error(format!(
-            "expected a {expected} frame from server {}, got {}",
-            self.peer_label,
-            got.name()
-        )))
+        Ok((reply, buf.len() as u64))
     }
 
     /// Runs one **idempotent** request to completion under the retry
     /// policy: reconnects a broken connection, retries I/O failures with
     /// exponential backoff, and surfaces fatal failures immediately.
-    fn idempotent_request(&mut self, op: &str, encoded: &[u8]) -> Result<Frame, PirError> {
+    fn idempotent_request(&mut self, op: &str, encoded: &[u8]) -> Result<(Frame, u64), PirError> {
         let attempts = self.policy.max_attempts.max(1);
         let mut backoff = self.policy.initial_backoff;
         let mut attempt = 0;
@@ -615,7 +702,7 @@ impl TcpTransport {
     /// applied the update even though the ack was lost, and only the
     /// scheme layer can resolve that ambiguity (by epoch comparison, see
     /// [`crate::scheme::TwoServerPir::apply_updates`]).
-    fn update_request(&mut self, op: &str, encoded: &[u8]) -> Result<Frame, PirError> {
+    fn update_request(&mut self, op: &str, encoded: &[u8]) -> Result<(Frame, u64), PirError> {
         let attempts = self.policy.max_attempts.max(1);
         let mut backoff = self.policy.initial_backoff;
         let mut attempt = 0;
@@ -642,158 +729,20 @@ impl TcpTransport {
 }
 
 impl PirTransport for TcpTransport {
-    fn server_info(&mut self) -> Result<ServerInfo, PirError> {
-        let encoded = Frame::InfoRequest.encode()?;
-        match self.idempotent_request("requesting server info", &encoded)? {
-            Frame::Info { info } => {
-                self.info = info;
-                Ok(info)
-            }
-            other => Err(self.to_error(
-                "requesting server info",
-                self.unexpected_frame("Info", &other),
-            )),
-        }
-    }
-
-    fn query_batch(&mut self, shares: &[QueryShare]) -> Result<TransportBatch, PirError> {
-        let encoded = wire::encode_query_batch(shares)?;
-        let upload_bytes = encoded.len() as u64;
-        let started = Instant::now();
-        let reply = self.idempotent_request("querying batch", &encoded)?;
-        match reply {
-            Frame::ResponseBatch {
-                epoch,
-                wall_seconds,
-                phases,
-                responses,
-            } => {
-                if responses.len() != shares.len() {
-                    return Err(self.operation_error(
-                        "querying batch",
-                        &format!(
-                            "server answered {} responses to {} shares",
-                            responses.len(),
-                            shares.len()
-                        ),
-                    ));
-                }
-                self.info.epoch = epoch;
-                Ok(TransportBatch {
-                    epoch,
-                    wall_seconds: started.elapsed().as_secs_f64(),
-                    server_wall_seconds: wall_seconds,
-                    phase_totals: phases,
-                    upload_bytes,
-                    download_bytes: response_batch_frame_bytes(&responses) as u64,
-                    responses,
-                })
-            }
-            other => Err(self.to_error(
-                "querying batch",
-                self.unexpected_frame("ResponseBatch", &other),
-            )),
-        }
-    }
-
-    fn scan_selector(&mut self, selector: &SelectorVector) -> Result<ScanResult, PirError> {
-        let encoded = wire::encode_selector_scan(selector)?;
-        let reply = self.idempotent_request("scanning selector", &encoded)?;
-        match reply {
-            Frame::SelectorResult {
-                epoch,
-                payload,
-                phases,
-            } => {
-                self.info.epoch = epoch;
-                Ok(ScanResult {
-                    payload,
-                    epoch,
-                    phases,
-                })
-            }
-            other => Err(self.to_error(
-                "scanning selector",
-                self.unexpected_frame("SelectorResult", &other),
-            )),
-        }
-    }
-
-    fn apply_updates(&mut self, updates: &[(u64, Vec<u8>)]) -> Result<UpdateOutcome, PirError> {
-        let encoded = wire::encode_update_batch(updates)?;
-        let reply = self.update_request("applying updates", &encoded)?;
-        match reply {
-            Frame::UpdateAck { outcome } => {
-                self.info.epoch = outcome.epoch;
-                Ok(outcome)
-            }
-            other => Err(self.to_error(
-                "applying updates",
-                self.unexpected_frame("UpdateAck", &other),
-            )),
-        }
-    }
-
-    fn epoch_info(&mut self) -> Result<EpochInfo, PirError> {
-        let encoded = Frame::EpochInfoRequest.encode()?;
-        match self.idempotent_request("requesting epoch info", &encoded)? {
-            Frame::EpochInfo { info } => {
-                self.info.epoch = info.current_epoch;
-                Ok(info)
-            }
-            other => Err(self.to_error(
-                "requesting epoch info",
-                self.unexpected_frame("EpochInfo", &other),
-            )),
-        }
-    }
-
-    fn replay_updates(&mut self, from_epoch: u64) -> Result<Vec<UpdateBatch>, PirError> {
-        // The server bounds every reply frame, so a large retained lag
-        // arrives as a *prefix* of the replay per request. Loop, advancing
-        // the requested epoch by the batches received, until the server's
-        // epoch at entry is reached or a reply comes back empty (caught
-        // up). Pinning the target at entry bounds the loop — a concurrent
-        // writer cannot extend it indefinitely; its tail batches are
-        // picked up by the caller's next resync round.
-        let target = self.epoch_info()?.current_epoch;
-        let mut next_epoch = from_epoch;
-        let mut all: Vec<UpdateBatch> = Vec::new();
-        loop {
-            let encoded = Frame::UpdateReplayRequest {
-                from_epoch: next_epoch,
-            }
-            .encode()?;
-            let batches = match self.idempotent_request("requesting update replay", &encoded)? {
-                Frame::UpdateReplay { batches } => batches,
-                Frame::JournalTruncated {
-                    from_epoch,
-                    oldest_replayable,
-                    current_epoch,
-                } => {
-                    return Err(PirError::JournalTruncated {
-                        from_epoch,
-                        oldest_replayable,
-                        current_epoch,
-                    });
-                }
-                other => {
-                    return Err(self.to_error(
-                        "requesting update replay",
-                        self.unexpected_frame("UpdateReplay", &other),
-                    ));
-                }
-            };
-            if batches.is_empty() {
-                break;
-            }
-            next_epoch += batches.len() as u64;
-            all.extend(batches);
-            if next_epoch >= target {
-                break;
-            }
-        }
-        Ok(all)
+    fn round_trip(&mut self, request: Frame) -> Result<RoundTrip, PirError> {
+        let op = request.name();
+        let encoded = request.encode()?;
+        // Everything but an update batch is safe to re-send.
+        let (reply, download_bytes) = if matches!(request, Frame::UpdateBatch { .. }) {
+            self.update_request(op, &encoded)?
+        } else {
+            self.idempotent_request(op, &encoded)?
+        };
+        Ok(RoundTrip {
+            reply,
+            upload_bytes: encoded.len() as u64,
+            download_bytes,
+        })
     }
 }
 
@@ -812,6 +761,10 @@ impl Drop for TcpTransport {
 // Multiplexed TCP transport: many logical sessions, one connection.
 // ---------------------------------------------------------------------------
 
+/// What the reader thread hands a waiting session: the reply and its size
+/// on the wire, or why the connection died.
+type MuxReply = Result<(Frame, u64), PirError>;
+
 /// State shared between a [`MuxConnection`], its [`MuxSession`]s and the
 /// background reader thread.
 struct MuxShared {
@@ -822,7 +775,7 @@ struct MuxShared {
     /// One in-flight request per session id; the reader thread completes
     /// them as [`Frame::Mux`] replies arrive, in whatever order the
     /// server answers.
-    pending: Mutex<HashMap<u32, mpsc::Sender<Result<Frame, PirError>>>>,
+    pending: Mutex<HashMap<u32, mpsc::Sender<MuxReply>>>,
     /// Set on any I/O failure or framing desync: the connection is dead
     /// and every subsequent request fails fast. A `MuxConnection` never
     /// reconnects itself — its owner (e.g. the router) replaces it, so
@@ -877,7 +830,7 @@ fn mux_reader_loop(mut stream: TcpStream, shared: &MuxShared) {
                     Some(tx) => {
                         // A dropped receiver (caller gave up) is fine;
                         // the reply is simply discarded.
-                        let _ = tx.send(Ok(*frame));
+                        let _ = tx.send(Ok((*frame, taken as u64)));
                     }
                     None => {
                         // A reply for a session nobody is waiting on
@@ -972,7 +925,7 @@ impl MuxConnection {
                 protocol_error(format!("handshaking with server {peer_label}: {err}"))
             })?;
         let (reply, taken) = wire::read_frame(&mut stream)?;
-        let info = match reply {
+        let info = match check_reply(reply)? {
             Frame::HelloAck { version, info } => {
                 if version != WIRE_VERSION {
                     return Err(protocol_error(format!(
@@ -1039,7 +992,6 @@ impl MuxConnection {
         Ok(MuxSession {
             shared: self.shared.clone(),
             session,
-            info: self.info,
         })
     }
 
@@ -1099,7 +1051,6 @@ impl Drop for MuxConnection {
 pub struct MuxSession {
     shared: Arc<MuxShared>,
     session: u32,
-    info: ServerInfo,
 }
 
 impl std::fmt::Debug for MuxSession {
@@ -1124,17 +1075,20 @@ impl MuxSession {
             self.shared.peer_label, self.session
         ))
     }
+}
 
-    /// One muxed request/reply round trip. Unlike [`TcpTransport`] there
-    /// are no retries here: a mux connection is shared, so recovery (a
-    /// replacement connection) belongs to its owner.
-    fn request(&mut self, op: &str, inner: Frame) -> Result<(Frame, u64), PirError> {
+impl PirTransport for MuxSession {
+    /// Unlike [`TcpTransport`] there are no retries here: a mux connection
+    /// is shared, so recovery (a replacement connection) belongs to its
+    /// owner.
+    fn round_trip(&mut self, request: Frame) -> Result<RoundTrip, PirError> {
+        let op = request.name();
         if self.shared.broken.load(Ordering::SeqCst) {
             return Err(self.operation_error(op, "connection is broken"));
         }
         let encoded = Frame::Mux {
             session: self.session,
-            frame: Box::new(inner),
+            frame: Box::new(request),
         }
         .encode()?;
         let (tx, rx) = mpsc::channel();
@@ -1155,175 +1109,15 @@ impl MuxSession {
         self.shared
             .uploaded
             .fetch_add(upload_bytes, Ordering::Relaxed);
-        let reply = match rx.recv() {
-            Ok(Ok(reply)) => reply,
-            Ok(Err(err)) => return Err(err),
-            Err(_) => {
-                return Err(self.operation_error(op, "connection closed before the reply arrived"))
-            }
-        };
-        match reply {
-            Frame::Error { message } => Err(protocol_error(format!(
-                "server {} rejected request: {message}",
-                self.shared.peer_label
-            ))),
-            Frame::Overloaded { retry_after_ms } => Err(PirError::Overloaded { retry_after_ms }),
-            other => Ok((other, upload_bytes)),
-        }
-    }
-
-    fn unexpected_frame(&self, op: &str, expected: &str, got: &Frame) -> PirError {
-        self.operation_error(
-            op,
-            &format!("expected a {expected} frame, got {}", got.name()),
-        )
-    }
-}
-
-impl PirTransport for MuxSession {
-    fn server_info(&mut self) -> Result<ServerInfo, PirError> {
-        let op = "requesting server info";
-        match self.request(op, Frame::InfoRequest)? {
-            (Frame::Info { info }, _) => {
-                self.info = info;
-                Ok(info)
-            }
-            (other, _) => Err(self.unexpected_frame(op, "Info", &other)),
-        }
-    }
-
-    fn query_batch(&mut self, shares: &[QueryShare]) -> Result<TransportBatch, PirError> {
-        let op = "querying batch";
-        let started = Instant::now();
-        let request = Frame::QueryBatch {
-            shares: shares.to_vec(),
-        };
-        match self.request(op, request)? {
-            (
-                Frame::ResponseBatch {
-                    epoch,
-                    wall_seconds,
-                    phases,
-                    responses,
-                },
+        match rx.recv() {
+            Ok(Ok((reply, download_bytes))) => Ok(RoundTrip {
+                reply,
                 upload_bytes,
-            ) => {
-                if responses.len() != shares.len() {
-                    return Err(self.operation_error(
-                        op,
-                        &format!(
-                            "server answered {} responses to {} shares",
-                            responses.len(),
-                            shares.len()
-                        ),
-                    ));
-                }
-                self.info.epoch = epoch;
-                Ok(TransportBatch {
-                    epoch,
-                    wall_seconds: started.elapsed().as_secs_f64(),
-                    server_wall_seconds: wall_seconds,
-                    phase_totals: phases,
-                    upload_bytes,
-                    download_bytes: (response_batch_frame_bytes(&responses)
-                        + wire::MUX_OVERHEAD_BYTES) as u64,
-                    responses,
-                })
-            }
-            (other, _) => Err(self.unexpected_frame(op, "ResponseBatch", &other)),
+                download_bytes,
+            }),
+            Ok(Err(err)) => Err(err),
+            Err(_) => Err(self.operation_error(op, "connection closed before the reply arrived")),
         }
-    }
-
-    fn scan_selector(&mut self, selector: &SelectorVector) -> Result<ScanResult, PirError> {
-        let op = "scanning selector";
-        let request = Frame::SelectorScan {
-            selector: selector.clone(),
-        };
-        match self.request(op, request)? {
-            (
-                Frame::SelectorResult {
-                    epoch,
-                    payload,
-                    phases,
-                },
-                _,
-            ) => {
-                self.info.epoch = epoch;
-                Ok(ScanResult {
-                    payload,
-                    epoch,
-                    phases,
-                })
-            }
-            (other, _) => Err(self.unexpected_frame(op, "SelectorResult", &other)),
-        }
-    }
-
-    fn apply_updates(&mut self, updates: &[(u64, Vec<u8>)]) -> Result<UpdateOutcome, PirError> {
-        let op = "applying updates";
-        let request = Frame::UpdateBatch {
-            updates: updates.to_vec(),
-        };
-        match self.request(op, request)? {
-            (Frame::UpdateAck { outcome }, _) => {
-                self.info.epoch = outcome.epoch;
-                Ok(outcome)
-            }
-            (other, _) => Err(self.unexpected_frame(op, "UpdateAck", &other)),
-        }
-    }
-
-    fn epoch_info(&mut self) -> Result<EpochInfo, PirError> {
-        let op = "requesting epoch info";
-        match self.request(op, Frame::EpochInfoRequest)? {
-            (Frame::EpochInfo { info }, _) => {
-                self.info.epoch = info.current_epoch;
-                Ok(info)
-            }
-            (other, _) => Err(self.unexpected_frame(op, "EpochInfo", &other)),
-        }
-    }
-
-    fn replay_updates(&mut self, from_epoch: u64) -> Result<Vec<UpdateBatch>, PirError> {
-        // Same chunked-prefix loop as TcpTransport::replay_updates: the
-        // target epoch is pinned at entry so a concurrent writer cannot
-        // extend the loop indefinitely.
-        let op = "requesting update replay";
-        let target = self.epoch_info()?.current_epoch;
-        let mut next_epoch = from_epoch;
-        let mut all: Vec<UpdateBatch> = Vec::new();
-        loop {
-            let request = Frame::UpdateReplayRequest {
-                from_epoch: next_epoch,
-            };
-            let batches = match self.request(op, request)? {
-                (Frame::UpdateReplay { batches }, _) => batches,
-                (
-                    Frame::JournalTruncated {
-                        from_epoch,
-                        oldest_replayable,
-                        current_epoch,
-                    },
-                    _,
-                ) => {
-                    return Err(PirError::JournalTruncated {
-                        from_epoch,
-                        oldest_replayable,
-                        current_epoch,
-                    });
-                }
-                (other, _) => return Err(self.unexpected_frame(op, "UpdateReplay", &other)),
-            };
-            if batches.is_empty() {
-                break;
-            }
-            next_epoch += batches.len() as u64;
-            all.extend(batches);
-            if next_epoch >= target {
-                break;
-            }
-        }
-        Ok(all)
     }
 }
 
@@ -1354,6 +1148,7 @@ mod tests {
     use crate::engine::EngineConfig;
     use crate::server::cpu::{CpuPirServer, CpuServerConfig};
     use crate::shard::ShardedDatabase;
+    use crate::wire::{query_batch_frame_bytes, response_batch_frame_bytes};
     use crate::PirClient;
     use std::sync::Arc;
 

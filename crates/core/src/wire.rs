@@ -7,8 +7,8 @@
 //! ```
 //!
 //! where `length` counts the tag byte plus the body. All integers are
-//! explicit little-endian (the vendored serde is a no-op shim, so the wire
-//! encoding is hand-rolled here and nowhere else). A connection starts with
+//! explicit little-endian, and the encoding is hand-rolled here and nowhere
+//! else. A connection starts with
 //! a handshake: the client sends [`Frame::Hello`] (which carries the
 //! 4-byte protocol magic and the client's [`WIRE_VERSION`]) and the server
 //! answers [`Frame::HelloAck`] with its own version and a
@@ -267,6 +267,57 @@ const TAG_OVERLOADED: u8 = 19;
 pub(crate) fn protocol_error(reason: impl Into<String>) -> PirError {
     PirError::Protocol {
         reason: reason.into(),
+    }
+}
+
+/// The reply frame for a request that failed with `err`. The two typed
+/// refusals keep their own frames so a client can rebuild the typed error:
+/// a truncated journal ([`Frame::JournalTruncated`]) and load shedding
+/// ([`Frame::Overloaded`]); anything else is an [`Frame::Error`] carrying
+/// the error's text. The session stays open either way.
+#[must_use]
+pub fn error_reply(err: &PirError) -> Frame {
+    match *err {
+        PirError::JournalTruncated {
+            from_epoch,
+            oldest_replayable,
+            current_epoch,
+        } => Frame::JournalTruncated {
+            from_epoch,
+            oldest_replayable,
+            current_epoch,
+        },
+        PirError::Overloaded { retry_after_ms } => Frame::Overloaded { retry_after_ms },
+        _ => Frame::Error {
+            message: err.to_string(),
+        },
+    }
+}
+
+/// The client side of [`error_reply`]: a refusal frame becomes its error
+/// ([`PirError::JournalTruncated`], [`PirError::Overloaded`], or
+/// [`PirError::Protocol`] for an [`Frame::Error`]); every other reply is
+/// returned as it is.
+///
+/// # Errors
+///
+/// The error the refusal frame carries.
+pub fn check_reply(reply: Frame) -> Result<Frame, PirError> {
+    match reply {
+        Frame::JournalTruncated {
+            from_epoch,
+            oldest_replayable,
+            current_epoch,
+        } => Err(PirError::JournalTruncated {
+            from_epoch,
+            oldest_replayable,
+            current_epoch,
+        }),
+        Frame::Overloaded { retry_after_ms } => Err(PirError::Overloaded { retry_after_ms }),
+        Frame::Error { message } => Err(protocol_error(format!(
+            "server rejected request: {message}"
+        ))),
+        reply => Ok(reply),
     }
 }
 
@@ -635,6 +686,29 @@ impl Frame {
         }
     }
 
+    /// The frame's size on the wire, framing bytes included — what
+    /// [`Frame::encode`] would produce, without encoding.
+    #[must_use]
+    pub fn encoded_bytes(&self) -> usize {
+        FRAME_HEADER_BYTES + self.body_bytes()
+    }
+
+    /// Whether the frame is a request whose re-execution cannot change the
+    /// server's state, so a lost reply may be answered by sending it again
+    /// (to the same replica or another one). Of the requests, only
+    /// [`Frame::UpdateBatch`] is not.
+    #[must_use]
+    pub fn is_idempotent_request(&self) -> bool {
+        matches!(
+            self,
+            Frame::QueryBatch { .. }
+                | Frame::SelectorScan { .. }
+                | Frame::InfoRequest
+                | Frame::EpochInfoRequest
+                | Frame::UpdateReplayRequest { .. }
+        )
+    }
+
     /// Serializes the frame, framing bytes included.
     ///
     /// # Errors
@@ -728,8 +802,7 @@ impl Frame {
     }
 
     /// Parses one frame from a byte slice that must contain exactly the
-    /// frame (framing bytes included — see also [`encode_query_batch`] /
-    /// [`encode_update_batch`] for the borrowed hot-path encoders).
+    /// frame (framing bytes included).
     ///
     /// # Errors
     ///
@@ -992,37 +1065,6 @@ pub fn encode_query_batch(shares: &[QueryShare]) -> Result<Vec<u8>, PirError> {
     )
 }
 
-/// Encodes a [`Frame::UpdateBatch`] straight from a borrowed slice (see
-/// [`encode_query_batch`]).
-///
-/// # Errors
-///
-/// Returns [`PirError::Protocol`] if the frame would exceed
-/// [`MAX_FRAME_BYTES`].
-pub fn encode_update_batch(updates: &[(u64, Vec<u8>)]) -> Result<Vec<u8>, PirError> {
-    encode_with_body(
-        TAG_UPDATE_BATCH,
-        update_batch_frame_bytes(updates) - FRAME_HEADER_BYTES,
-        |w| write_update_batch_body(w, updates),
-    )
-}
-
-/// Encodes a [`Frame::SelectorScan`] straight from a borrowed selector
-/// (see [`encode_query_batch`]) — the protocol's largest request payload,
-/// sent once per server per naive n-server query.
-///
-/// # Errors
-///
-/// Returns [`PirError::Protocol`] if the frame would exceed
-/// [`MAX_FRAME_BYTES`].
-pub fn encode_selector_scan(selector: &SelectorVector) -> Result<Vec<u8>, PirError> {
-    encode_with_body(
-        TAG_SELECTOR_SCAN,
-        selector_scan_frame_bytes(selector) - FRAME_HEADER_BYTES,
-        |w| write_selector_scan_body(w, selector),
-    )
-}
-
 /// Serializes `frame` into `writer`, returning the number of bytes put on
 /// the wire.
 ///
@@ -1248,30 +1290,12 @@ mod tests {
     }
 
     #[test]
-    fn borrowed_encoders_match_the_owned_frames_byte_for_byte() {
+    fn the_borrowed_query_encoder_matches_the_owned_frame_byte_for_byte() {
         let shares = sample_shares(3);
         assert_eq!(
             encode_query_batch(&shares).unwrap(),
             Frame::QueryBatch {
                 shares: shares.clone()
-            }
-            .encode()
-            .unwrap()
-        );
-        let updates = vec![(1u64, vec![2u8; 8]), (9, vec![3; 8])];
-        assert_eq!(
-            encode_update_batch(&updates).unwrap(),
-            Frame::UpdateBatch {
-                updates: updates.clone()
-            }
-            .encode()
-            .unwrap()
-        );
-        let selector: SelectorVector = (0..129).map(|i| i % 3 == 0).collect();
-        assert_eq!(
-            encode_selector_scan(&selector).unwrap(),
-            Frame::SelectorScan {
-                selector: selector.clone()
             }
             .encode()
             .unwrap()

@@ -41,8 +41,6 @@
 //!
 //! Only encryption is implemented — a PRF never needs the inverse cipher.
 
-use serde::{Deserialize, Serialize};
-
 use crate::batch::PIPELINE_WIDTH;
 use crate::Block;
 
@@ -124,7 +122,7 @@ const T0: [u32; 256] = {
 /// assert_ne!(ct, Block::ZERO);
 /// assert_eq!(ct, key.encrypt_block(Block::ZERO));
 /// ```
-#[derive(Clone, Serialize, Deserialize, PartialEq, Eq)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct Aes128 {
     /// The oracle's form: 16 bytes per round, column-major.
     round_keys: [[u8; 16]; NR + 1],

@@ -3,8 +3,6 @@
 use std::fmt;
 use std::ops::{BitXor, BitXorAssign};
 
-use serde::{Deserialize, Serialize};
-
 /// A 128-bit block.
 ///
 /// Blocks are the plaintext/ciphertext unit of AES-128 and, in the DPF, the
@@ -22,7 +20,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!((a ^ b) ^ b, a);
 /// assert_eq!(Block::ZERO ^ a, a);
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize, PartialOrd, Ord)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, Default, PartialOrd, Ord)]
 pub struct Block(u128);
 
 impl Block {

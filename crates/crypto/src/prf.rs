@@ -5,8 +5,6 @@
 //! AES used for key generation (sampling root seeds) and for deriving
 //! deterministic per-query randomness in tests and workloads.
 
-use serde::{Deserialize, Serialize};
-
 use crate::aes::Aes128;
 use crate::Block;
 
@@ -38,7 +36,7 @@ pub trait Prf {
 /// assert_eq!(prf.eval(Block::ZERO), prf.eval(Block::ZERO));
 /// assert_ne!(prf.eval(Block::ZERO), prf.eval(Block::ONES));
 /// ```
-#[derive(Clone, Serialize, Deserialize)]
+#[derive(Clone)]
 pub struct AesPrf {
     cipher: Aes128,
 }

@@ -18,8 +18,6 @@
 
 use std::sync::OnceLock;
 
-use serde::{Deserialize, Serialize};
-
 use crate::aes::{encrypt_lanes, Aes128};
 use crate::Block;
 
@@ -68,7 +66,7 @@ impl NodeExpansion {
 /// let e = prg.expand(Block::from(1u128));
 /// assert_ne!(e.left.seed, e.right.seed);
 /// ```
-#[derive(Clone, Serialize, Deserialize)]
+#[derive(Clone)]
 pub struct LengthDoublingPrg {
     left_key: Aes128,
     right_key: Aes128,

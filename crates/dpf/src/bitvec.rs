@@ -8,8 +8,6 @@
 //! move whole words, which is also how the paper ships "bit arrays" to the
 //! DPUs.
 
-use serde::{Deserialize, Serialize};
-
 /// A densely packed vector of selector bits.
 ///
 /// # Example
@@ -24,7 +22,7 @@ use serde::{Deserialize, Serialize};
 /// assert!(v.get(129));
 /// assert!(!v.get(64));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct SelectorVector {
     words: Vec<u64>,
     len: usize,

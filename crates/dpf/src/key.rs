@@ -9,12 +9,11 @@
 //! in the correction-word form and documents the mapping.
 
 use impir_crypto::Block;
-use serde::{Deserialize, Serialize};
 
 use crate::error::DpfError;
 
 /// Identifies which of the two non-colluding servers a key is meant for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PartyId {
     /// The first server (S1).
     Server1,
@@ -50,7 +49,7 @@ impl PartyId {
 /// notation, level `d`'s correction word is column `d` of the key's
 /// codeword matrices: `seed` is the `F_{2^λ}` entry and
 /// `(control_left, control_right)` are the two `F_2` rows.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CorrectionWord {
     /// Seed correction applied to the child seed.
     pub seed: Block,
@@ -81,7 +80,7 @@ pub struct CorrectionWord {
 /// assert_eq!(impir_dpf::DpfKey::from_bytes(&bytes)?, k1);
 /// # Ok::<(), impir_dpf::DpfError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DpfKey {
     party: PartyId,
     domain_bits: u32,

@@ -40,7 +40,6 @@
 //!   makes batch serving allocation-free.
 
 use impir_crypto::prg::LengthDoublingPrg;
-use serde::{Deserialize, Serialize};
 
 use crate::bitvec::SelectorVector;
 use crate::error::DpfError;
@@ -104,7 +103,7 @@ where
 }
 
 /// How a server expands a DPF key over the full database domain.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum EvalStrategy {
     /// Each leaf (or leaf range) is computed from the root independently.

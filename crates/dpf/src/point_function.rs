@@ -1,7 +1,5 @@
 //! Point functions `P_{α,β}` — what a DPF secret-shares.
 
-use serde::{Deserialize, Serialize};
-
 /// A point function over a `u64` domain with a boolean output.
 ///
 /// `P_{α,β}(x) = β` if `x = α` and `0` otherwise (§2.3). In PIR, `α` is the
@@ -17,7 +15,7 @@ use serde::{Deserialize, Serialize};
 /// assert!(p.eval(5));
 /// assert!(!p.eval(4));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PointFunction {
     alpha: u64,
     beta: bool,

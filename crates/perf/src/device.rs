@@ -7,10 +7,8 @@
 //! PrIM-characterisation data otherwise; they are inputs to the analytic
 //! model, not measurements of this repository.
 
-use serde::{Deserialize, Serialize};
-
 /// First-order performance parameters of one execution platform.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeviceProfile {
     /// Human-readable platform name.
     pub name: String,

@@ -24,8 +24,6 @@
 //! clustering gains ≈1.35×, IM-PIR ≈1.3× over GPU-PIR); `EXPERIMENTS.md`
 //! records model-vs-paper numbers for every figure.
 
-use serde::{Deserialize, Serialize};
-
 use crate::device::DeviceProfile;
 
 /// AES block operations per GGM tree node expansion (two fixed-key AES
@@ -33,7 +31,7 @@ use crate::device::DeviceProfile;
 const AES_BLOCKS_PER_NODE: f64 = 2.0;
 
 /// A PIR workload: database geometry plus batch size.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PirWorkload {
     /// Total database size in bytes.
     pub db_bytes: u64,
@@ -68,7 +66,7 @@ impl PirWorkload {
 }
 
 /// Per-query phase estimate for the CPU-PIR baseline.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CpuPirEstimate {
     /// Host-side DPF evaluation seconds.
     pub eval_seconds: f64,
@@ -85,7 +83,7 @@ impl CpuPirEstimate {
 }
 
 /// Per-query phase estimate for IM-PIR (Figure 10a's five phases).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ImPirEstimate {
     /// Host-side DPF evaluation seconds.
     pub eval_seconds: f64,
@@ -126,7 +124,7 @@ impl ImPirEstimate {
 }
 
 /// Per-query phase estimate for GPU-PIR.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GpuPirEstimate {
     /// GPU DPF tree expansion seconds.
     pub eval_seconds: f64,
@@ -145,7 +143,7 @@ impl GpuPirEstimate {
 }
 
 /// Parameters of the PIM side of the IM-PIR model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PimSideModel {
     /// Number of DPUs in the cluster serving one query.
     pub dpus: usize,
@@ -381,7 +379,7 @@ pub fn gpu_pir_batch(gpu: &DeviceProfile, workload: &PirWorkload) -> BatchEstima
 }
 
 /// Latency/throughput summary for a batch of queries.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BatchEstimate {
     /// Number of queries in the batch.
     pub batch_size: usize,

@@ -20,12 +20,10 @@
 //! fraction of that ceiling via [`RooflineModel::scan_efficiency`] into
 //! `BENCH_hotpath.json`.
 
-use serde::{Deserialize, Serialize};
-
 use crate::device::DeviceProfile;
 
 /// Classification of a kernel under the roofline model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BoundKind {
     /// Attainable performance is limited by memory bandwidth.
     MemoryBound,
@@ -34,7 +32,7 @@ pub enum BoundKind {
 }
 
 /// One kernel plotted on the roofline.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RooflinePoint {
     /// Kernel name (e.g. `dpXOR`, `Eval`).
     pub kernel: String,
@@ -47,7 +45,7 @@ pub struct RooflinePoint {
 }
 
 /// A roofline for one device.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RooflineModel {
     /// Peak compute throughput, GFLOP/s.
     pub peak_gflops: f64,

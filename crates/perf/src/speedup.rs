@@ -1,9 +1,7 @@
 //! Throughput, latency and speedup arithmetic shared by the figure harness.
 
-use serde::{Deserialize, Serialize};
-
 /// One measured or modelled data point of a latency/throughput sweep.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SweepPoint {
     /// The system that produced the point (e.g. `CPU-PIR`, `IM-PIR`).
     pub system: String,

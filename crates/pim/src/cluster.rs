@@ -9,12 +9,10 @@
 
 use std::ops::Range;
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::PimError;
 
 /// A partition of `total_dpus` DPUs into equally sized clusters.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ClusterLayout {
     total_dpus: usize,
     clusters: usize,

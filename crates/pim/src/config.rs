@@ -7,8 +7,6 @@
 //! The experiments use 2048 of the 2560 DPUs "because it is easier to work
 //! with powers of two".
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::PimError;
 
 /// Number of DPUs per PIM chip in the UPMEM architecture.
@@ -37,7 +35,7 @@ pub const PIPELINE_SATURATION_TASKLETS: usize = 11;
 /// paper.validate()?;
 /// # Ok::<(), impir_pim::PimError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PimConfig {
     /// Number of DPUs allocated to the application.
     pub dpus: usize,

@@ -18,13 +18,11 @@
 //! For `dpXOR`-style streaming kernels the MRAM term dominates, which is
 //! exactly the regime the paper exploits.
 
-use serde::{Deserialize, Serialize};
-
 use crate::config::PimConfig;
 use crate::stats::KernelMeter;
 
 /// Converts [`KernelMeter`]s and transfer sizes into simulated seconds.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CostModel {
     config: PimConfig,
 }

@@ -7,10 +7,8 @@
 //! lets tests assert on raw byte counts without caring about bandwidth
 //! parameters.
 
-use serde::{Deserialize, Serialize};
-
 /// Cumulative host↔DPU transfer counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TransferStats {
     /// Total bytes pushed from the host into DPU MRAM.
     pub host_to_dpu_bytes: u64,
@@ -39,7 +37,7 @@ impl TransferStats {
 }
 
 /// Work performed by one DPU during one kernel launch.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct KernelMeter {
     /// Bytes streamed from MRAM into the pipeline (via WRAM DMA).
     pub mram_bytes_read: u64,
@@ -65,7 +63,7 @@ impl KernelMeter {
 }
 
 /// The outcome of a host↔DPU transfer batch.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TransferOutcome {
     /// Bytes moved by the batch.
     pub bytes: u64,
@@ -99,7 +97,7 @@ impl<O> LaunchOutcome<O> {
 }
 
 /// A cumulative report of all simulated activity on a [`crate::PimSystem`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ExecutionReport {
     /// Cumulative transfer counters.
     pub transfers: TransferStats,

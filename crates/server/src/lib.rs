@@ -73,16 +73,14 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use crossbeam::channel::{bounded, Receiver, Sender};
-use impir_core::batch::{UpdatableBackend, UpdateOutcome};
+use impir_core::batch::UpdatableBackend;
 use impir_core::database::Database;
 use impir_core::engine::QueryEngine;
 use impir_core::rebalance::{RebalanceConfig, RebalancePlanner};
 use impir_core::server::phases::PhaseBreakdown;
 use impir_core::topology::{FleetTopology, RebalanceMode};
-use impir_core::transport::{EpochInfo, ScanResult, ServerInfo};
-use impir_core::wire::{update_batch_frame_bytes, Frame, FRAME_HEADER_BYTES, MAX_FRAME_BYTES};
-use impir_core::{PirError, QueryShare, ServerResponse, UpdateBatch};
-use impir_dpf::SelectorVector;
+use impir_core::wire::{error_reply, Frame, MAX_FRAME_BYTES};
+use impir_core::{PirError, QueryShare, ServerResponse};
 
 use session::{accept_connections, serve_connection, wake_acceptor, SessionBudget, SessionContext};
 
@@ -285,39 +283,11 @@ pub fn build_service_with(
 /// the frame tag, the batch-count prefix, and at least one tiny batch.
 pub const MIN_REPLAY_FRAME_BYTES: usize = 64;
 
-/// The dispatcher's answer to one session's query batch.
-pub(crate) struct QueryReply {
-    epoch: u64,
-    wall_seconds: f64,
-    phases: PhaseBreakdown,
-    responses: Vec<ServerResponse>,
-}
-
-/// A session's request to the dispatcher. Replies travel over a dedicated
-/// bounded channel per request.
-pub(crate) enum ServiceRequest {
-    Query {
-        shares: Vec<QueryShare>,
-        reply: Sender<Result<QueryReply, PirError>>,
-    },
-    Scan {
-        selector: SelectorVector,
-        reply: Sender<Result<ScanResult, PirError>>,
-    },
-    Update {
-        updates: Vec<(u64, Vec<u8>)>,
-        reply: Sender<Result<UpdateOutcome, PirError>>,
-    },
-    Info {
-        reply: Sender<ServerInfo>,
-    },
-    EpochInfo {
-        reply: Sender<EpochInfo>,
-    },
-    Replay {
-        from_epoch: u64,
-        reply: Sender<Result<Vec<UpdateBatch>, PirError>>,
-    },
+/// A session's request to the dispatcher: a request frame and where its
+/// reply frame goes (a dedicated bounded channel per request).
+pub(crate) struct ServiceRequest {
+    pub(crate) frame: Frame,
+    pub(crate) reply: Sender<Frame>,
 }
 
 /// A running PIR server: accept loop, connection threads and the dispatcher
@@ -421,9 +391,8 @@ impl PirService {
         let (requests, request_rx) = bounded::<ServiceRequest>(config.admission_capacity);
         let plan = engine.plan().clone();
 
-        let coalesce_limit = config.coalesce_limit;
         let dispatcher_handle = std::thread::spawn(move || {
-            dispatcher_loop(engine, &request_rx, coalesce_limit, rebalancer);
+            dispatcher_loop(engine, &request_rx, &config, rebalancer);
         });
 
         // The context owns the master request sender and drops with the
@@ -507,11 +476,12 @@ impl Drop for PirService {
 }
 
 /// Owns the engine: serialises updates against queries and coalesces
-/// concurrently pending query batches into single engine waves.
+/// concurrently pending query batches into single engine waves. Every
+/// other request is answered by [`QueryEngine::handle`].
 fn dispatcher_loop<S: UpdatableBackend + Send + Sync>(
     mut engine: QueryEngine<S>,
     requests: &Receiver<ServiceRequest>,
-    coalesce_limit: usize,
+    config: &ServiceConfig,
     mut rebalancer: Option<RebalancePolicy<S>>,
 ) {
     loop {
@@ -519,59 +489,38 @@ fn dispatcher_loop<S: UpdatableBackend + Send + Sync>(
             break; // every session (and the accept loop) has hung up
         };
         let mut pending = Some(request);
-        while let Some(request) = pending.take() {
-            match request {
-                ServiceRequest::Query { shares, reply } => {
-                    // Merge whatever other sessions have already queued —
-                    // never waiting — so concurrent sessions share one
-                    // trip through the engine's admission queue.
-                    let mut wave = vec![(shares, reply)];
-                    while wave.len() < coalesce_limit {
-                        match requests.try_recv() {
-                            Ok(ServiceRequest::Query { shares, reply }) => {
-                                wave.push((shares, reply));
-                            }
-                            Ok(other) => {
-                                // Anything else (an update, say) ends the
-                                // wave; it executes right after, strictly
-                                // ordered against it.
-                                pending = Some(other);
-                                break;
-                            }
-                            Err(_) => break,
-                        }
+        while let Some(ServiceRequest { frame, reply }) = pending.take() {
+            let Frame::QueryBatch { shares } = frame else {
+                let answer = engine
+                    .handle(frame, config.max_replay_frame_bytes)
+                    .unwrap_or_else(|err| error_reply(&err));
+                let _ = reply.send(answer);
+                continue;
+            };
+            // Merge whatever other sessions have already queued — never
+            // waiting — so concurrent sessions share one trip through the
+            // engine's admission queue.
+            let mut wave = vec![(shares, reply)];
+            while wave.len() < config.coalesce_limit {
+                match requests.try_recv() {
+                    Ok(ServiceRequest {
+                        frame: Frame::QueryBatch { shares },
+                        reply,
+                    }) => wave.push((shares, reply)),
+                    Ok(other) => {
+                        // Anything else (an update, say) ends the wave; it
+                        // executes right after, strictly ordered against it.
+                        pending = Some(other);
+                        break;
                     }
-                    execute_wave(&mut engine, wave);
-                    // Between waves — with the engine otherwise idle — is
-                    // the only moment the dispatcher rebalances: queries
-                    // and updates stay strictly serialized against the
-                    // plan swap.
-                    maybe_rebalance(&mut engine, &mut rebalancer);
-                }
-                ServiceRequest::Scan { selector, reply } => {
-                    let result =
-                        engine
-                            .scan_selector(&selector)
-                            .map(|(payload, phases)| ScanResult {
-                                payload,
-                                epoch: engine.database_epoch(),
-                                phases,
-                            });
-                    let _ = reply.send(result);
-                }
-                ServiceRequest::Update { updates, reply } => {
-                    let _ = reply.send(engine.apply_updates(&updates));
-                }
-                ServiceRequest::Info { reply } => {
-                    let _ = reply.send(info_of(&engine));
-                }
-                ServiceRequest::EpochInfo { reply } => {
-                    let _ = reply.send(engine.epoch_info());
-                }
-                ServiceRequest::Replay { from_epoch, reply } => {
-                    let _ = reply.send(engine.replay_updates(from_epoch));
+                    Err(_) => break,
                 }
             }
+            execute_wave(&mut engine, wave);
+            // Between waves — with the engine otherwise idle — is the only
+            // moment the dispatcher rebalances: queries and updates stay
+            // strictly serialized against the plan swap.
+            maybe_rebalance(&mut engine, &mut rebalancer);
         }
     }
 }
@@ -598,16 +547,7 @@ fn maybe_rebalance<S: UpdatableBackend + Send + Sync>(
     }
 }
 
-fn info_of<S: UpdatableBackend + Send + Sync>(engine: &QueryEngine<S>) -> ServerInfo {
-    ServerInfo {
-        num_records: engine.num_records(),
-        record_size: engine.record_size(),
-        shard_count: engine.shard_count(),
-        epoch: engine.database_epoch(),
-    }
-}
-
-type SessionBatch = (Vec<QueryShare>, Sender<Result<QueryReply, PirError>>);
+type SessionBatch = (Vec<QueryShare>, Sender<Frame>);
 
 /// Runs one merged wave of query batches through the engine and routes
 /// each session's slice of the responses back to it.
@@ -625,7 +565,7 @@ fn execute_wave<S: UpdatableBackend + Send + Sync>(
             .find(|share| share.key.domain_bits() != domain_bits)
         {
             Some(bad) => {
-                let _ = reply.send(Err(PirError::QueryDomainMismatch {
+                let _ = reply.send(error_reply(&PirError::QueryDomainMismatch {
                     key_domain_bits: bad.key.domain_bits(),
                     database_domain_bits: domain_bits,
                 }));
@@ -656,19 +596,19 @@ fn execute_wave<S: UpdatableBackend + Send + Sync>(
         // costs to the sessions.
         let epoch = engine.database_epoch();
         for (_, reply) in &admitted {
-            let _ = reply.send(Ok(QueryReply {
+            let _ = reply.send(Frame::ResponseBatch {
                 epoch,
                 wall_seconds: 0.0,
                 phases: PhaseBreakdown::zero(),
                 responses: Vec::new(),
-            }));
+            });
         }
         return;
     }
     match engine.execute_batch(batch) {
         Err(err) => {
             for (_, reply) in &admitted {
-                let _ = reply.send(Err(err.clone()));
+                let _ = reply.send(error_reply(&err));
             }
         }
         Ok(outcome) => {
@@ -682,12 +622,12 @@ fn execute_wave<S: UpdatableBackend + Send + Sync>(
                 // wave's true totals).
                 let fraction = *count as f64 / total_queries as f64;
                 let slice: Vec<ServerResponse> = responses.by_ref().take(*count).collect();
-                let _ = reply.send(Ok(QueryReply {
+                let _ = reply.send(Frame::ResponseBatch {
                     epoch,
                     wall_seconds: outcome.wall_seconds * fraction,
                     phases: outcome.phase_totals.scaled(fraction),
                     responses: slice,
-                }));
+                });
             }
         }
     }
@@ -697,105 +637,6 @@ pub(crate) fn protocol(reason: &str) -> PirError {
     PirError::Protocol {
         reason: reason.to_string(),
     }
-}
-
-/// The reply frame for a query batch's dispatcher result.
-pub(crate) fn query_reply_frame(result: Result<QueryReply, PirError>) -> Frame {
-    match result {
-        Ok(answer) => Frame::ResponseBatch {
-            epoch: answer.epoch,
-            wall_seconds: answer.wall_seconds,
-            phases: answer.phases,
-            responses: answer.responses,
-        },
-        Err(err) => error_frame(&err),
-    }
-}
-
-/// The reply frame for an update batch's dispatcher result.
-pub(crate) fn update_ack_frame(result: Result<UpdateOutcome, PirError>) -> Frame {
-    match result {
-        Ok(outcome) => Frame::UpdateAck { outcome },
-        Err(err) => error_frame(&err),
-    }
-}
-
-/// The reply frame for a selector scan's dispatcher result.
-pub(crate) fn scan_result_frame(result: Result<ScanResult, PirError>) -> Frame {
-    match result {
-        Ok(scan) => Frame::SelectorResult {
-            epoch: scan.epoch,
-            payload: scan.payload,
-            phases: scan.phases,
-        },
-        Err(err) => error_frame(&err),
-    }
-}
-
-/// The reply frame for a journal replay's dispatcher result.
-pub(crate) fn replay_reply_frame(
-    result: Result<Vec<UpdateBatch>, PirError>,
-    from_epoch: u64,
-    max_replay_frame_bytes: usize,
-) -> Frame {
-    match result {
-        Ok(batches) => {
-            // A reply frame obeys the same size bound as every other
-            // frame, but a fully-retained lag can hold more batch bytes
-            // than one frame fits (each journalled batch may itself have
-            // arrived near the bound). Send the longest prefix of the
-            // replay that fits; the client advances its requested epoch
-            // past the batches it received and asks again until caught up.
-            let total = batches.len();
-            let mut body = 4usize; // the batch-count prefix
-            let mut taken: Vec<UpdateBatch> = Vec::new();
-            for batch in batches {
-                let batch_body = update_batch_frame_bytes(&batch) - FRAME_HEADER_BYTES;
-                if 1 + body + batch_body > max_replay_frame_bytes {
-                    break;
-                }
-                body += batch_body;
-                taken.push(batch);
-            }
-            if taken.is_empty() && total > 0 {
-                // Never degrade this to an empty reply: the client reads
-                // empty as "caught up" and would silently stay lagging.
-                return error_frame(&protocol(&format!(
-                    "replay from epoch {from_epoch} cannot proceed: the next journalled \
-                     batch alone exceeds the replay frame bound of \
-                     {max_replay_frame_bytes} bytes; re-seed the lagging replica from a \
-                     current snapshot"
-                )));
-            }
-            Frame::UpdateReplay { batches: taken }
-        }
-        // A truncated journal is an expected, *typed* outcome the client
-        // resolves (fail-closed resync error) — it gets its own frame so
-        // the transport can rebuild the typed error, unlike free-form
-        // `Error` frames.
-        Err(PirError::JournalTruncated {
-            from_epoch,
-            oldest_replayable,
-            current_epoch,
-        }) => Frame::JournalTruncated {
-            from_epoch,
-            oldest_replayable,
-            current_epoch,
-        },
-        Err(err) => error_frame(&err),
-    }
-}
-
-/// A request-level failure as an `Error` frame; the session stays open.
-pub(crate) fn error_frame(err: &PirError) -> Frame {
-    Frame::Error {
-        message: err.to_string(),
-    }
-}
-
-/// The `Error` frame a request gets when the dispatcher has exited.
-pub(crate) fn dispatcher_gone_frame() -> Frame {
-    error_frame(&protocol("service dispatcher is gone"))
 }
 
 #[cfg(test)]
@@ -933,7 +774,7 @@ mod tests {
         let db = Arc::new(Database::random(200, 16, 61).unwrap());
         let service = spawn_cpu_service(&db, 3);
         let mut transport = TcpTransport::connect(service.addr()).unwrap();
-        let selector: SelectorVector = (0..200).map(|i| i % 3 == 1).collect();
+        let selector: impir_dpf::SelectorVector = (0..200).map(|i| i % 3 == 1).collect();
         let scan = transport.scan_selector(&selector).unwrap();
         assert_eq!(scan.payload, db.xor_select(&selector));
         assert_eq!(scan.epoch, 0);

@@ -26,10 +26,13 @@
 //!   connection breaks, every in-flight request on it fails fast, and
 //!   idempotent requests (queries, scans, info, replay) transparently
 //!   move to the next healthy replica and are retried there; the client
-//!   only ever sees an answer. A failed request is first re-checked with
-//!   an epoch probe so a *genuine server rejection* (bad share domain,
-//!   oversized batch) is reported to the client instead of being retried
-//!   elsewhere;
+//!   only ever sees an answer. Every idempotent request is forwarded
+//!   verbatim and its reply comes back verbatim — a replica's rejection
+//!   (bad share domain, truncated journal) is an answer, not a fault. A
+//!   failed exchange is first re-checked with an epoch probe, so a request
+//!   that fails on its own (an oversized frame) is reported to the client
+//!   instead of being retried elsewhere. A journal replay crosses the
+//!   router one bounded prefix per request, as from a replica;
 //! * **load-shed forwarding** — a replica's typed
 //!   [`Frame::Overloaded`] refusal means the replica is *alive* and
 //!   shedding; the router forwards it to the client verbatim rather
@@ -58,7 +61,7 @@ use std::time::Duration;
 
 use impir_core::topology::{FleetTopology, RetrySpec};
 use impir_core::transport::{MuxConnection, MuxSession, PirTransport};
-use impir_core::wire::{Frame, WIRE_VERSION};
+use impir_core::wire::{error_reply, Frame, WIRE_VERSION};
 use impir_core::{PirError, UpdateOutcome};
 
 use crate::protocol;
@@ -411,29 +414,24 @@ impl RoutedBackend {
         Err(last_error.unwrap_or_else(|| protocol("no healthy replica available")))
     }
 
-    /// Runs one idempotent request against the pinned replica, failing
-    /// over to the next healthy one if the replica is dead. A failed
-    /// request is first re-checked with an epoch probe on the same
-    /// session: if the replica still answers, the failure was a genuine
-    /// rejection and is returned to the client instead of being retried
-    /// elsewhere. A typed overload refusal is forwarded verbatim — the
-    /// replica is alive and shedding, and failing over would stampede
-    /// the rest of the fleet.
-    fn call<T>(
-        &mut self,
-        state: &RouterState,
-        op: impl Fn(&mut MuxSession) -> Result<T, PirError>,
-    ) -> Result<T, PirError> {
+    /// Forwards one idempotent request to the pinned replica and returns
+    /// its reply frame verbatim, failing over to the next healthy replica
+    /// if the replica is dead. A reply is never failed over: a refusal
+    /// (`Error`, `JournalTruncated`, or a typed `Overloaded` — the replica
+    /// is alive and shedding, and failing over would stampede the rest of
+    /// the fleet) travels to the client as the replica sent it. A failed
+    /// exchange is first re-checked with an epoch probe on the same
+    /// session: if the replica still answers, the failure was the request's
+    /// own (an oversized frame, say) and is returned to the client instead
+    /// of being retried elsewhere.
+    fn call(&mut self, state: &RouterState, request: &Frame) -> Result<Frame, PirError> {
         let slots = state.slots.len();
         for _ in 0..=slots {
             if !state.slots[self.slot].healthy.load(Ordering::SeqCst) {
                 self.rotate(state)?;
             }
-            match op(&mut self.session) {
-                Ok(value) => return Ok(value),
-                Err(PirError::Overloaded { retry_after_ms }) => {
-                    return Err(PirError::Overloaded { retry_after_ms });
-                }
+            match self.session.round_trip(request.clone()) {
+                Ok(exchange) => return Ok(exchange.reply),
                 Err(err) => {
                     let alive = !self.conn.is_broken()
                         && matches!(
@@ -441,8 +439,6 @@ impl RoutedBackend {
                             Ok(_) | Err(PirError::Overloaded { .. })
                         );
                     if alive {
-                        // The replica is alive — this is the server
-                        // rejecting the request, not a fault.
                         return Err(err);
                     }
                     state.slots[self.slot]
@@ -529,70 +525,27 @@ fn session_loop(
                 return;
             }
         };
-        let reply =
-            match frame {
-                Frame::QueryBatch { shares } => backend
-                    .call(state, |t| t.query_batch(&shares))
-                    .map(|batch| Frame::ResponseBatch {
-                        epoch: batch.epoch,
-                        wall_seconds: batch.server_wall_seconds,
-                        phases: batch.phase_totals,
-                        responses: batch.responses,
-                    }),
-                Frame::SelectorScan { selector } => backend
-                    .call(state, |t| t.scan_selector(&selector))
-                    .map(|scan| Frame::SelectorResult {
-                        epoch: scan.epoch,
-                        payload: scan.payload,
-                        phases: scan.phases,
-                    }),
-                Frame::InfoRequest => backend
-                    .call(state, PirTransport::server_info)
-                    .map(|info| Frame::Info { info }),
-                Frame::EpochInfoRequest => backend
-                    .call(state, PirTransport::epoch_info)
-                    .map(|info| Frame::EpochInfo { info }),
-                Frame::UpdateReplayRequest { from_epoch } => backend
-                    .call(state, |t| t.replay_updates(from_epoch))
-                    .map(|batches| Frame::UpdateReplay { batches }),
-                // Updates are NOT failover-retried through the session's
-                // pinned replica: they fan out to the whole fleet under the
-                // router's update lock, exactly once per healthy replica.
-                Frame::UpdateBatch { updates } => {
-                    fan_out_update(state, &updates).map(|outcome| Frame::UpdateAck { outcome })
-                }
-                Frame::Goodbye => return,
-                other => {
-                    let _ = write_session_frame(
-                        &mut stream,
-                        &Frame::Error {
-                            message: format!("unexpected {} frame mid-session", other.name()),
-                        },
-                        shutdown,
-                    );
-                    return;
-                }
-            };
-        let frame = match reply {
-            Ok(frame) => frame,
-            // A truncated journal is a typed outcome the client resolves;
-            // forward it as its own frame, like a replica would.
-            Err(PirError::JournalTruncated {
-                from_epoch,
-                oldest_replayable,
-                current_epoch,
-            }) => Frame::JournalTruncated {
-                from_epoch,
-                oldest_replayable,
-                current_epoch,
-            },
-            // So is a load-shed refusal: the replica's backoff hint
-            // travels through the router untouched.
-            Err(PirError::Overloaded { retry_after_ms }) => Frame::Overloaded { retry_after_ms },
-            Err(err) => Frame::Error {
-                message: err.to_string(),
-            },
+        let reply = match frame {
+            // Updates are NOT failover-retried through the session's pinned
+            // replica: they fan out to the whole fleet under the router's
+            // update lock, exactly once per healthy replica.
+            Frame::UpdateBatch { updates } => {
+                fan_out_update(state, &updates).map(|outcome| Frame::UpdateAck { outcome })
+            }
+            Frame::Goodbye => return,
+            request if request.is_idempotent_request() => backend.call(state, &request),
+            other => {
+                let _ = write_session_frame(
+                    &mut stream,
+                    &Frame::Error {
+                        message: format!("unexpected {} frame mid-session", other.name()),
+                    },
+                    shutdown,
+                );
+                return;
+            }
         };
+        let frame = reply.unwrap_or_else(|err| error_reply(&err));
         if write_session_frame(&mut stream, &frame, shutdown).is_err() {
             return;
         }
@@ -815,8 +768,8 @@ fn catch_up(state: &RouterState, behind: usize, ahead: usize) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::build_service;
     use crate::tests::{assert_threads_return_to, live_threads};
+    use crate::{build_service, build_service_with, ServiceConfig};
     use impir_core::topology::{ReplicaSpec, RouterSpec};
     use impir_core::transport::{LocalTransport, TcpTransport};
     use impir_core::PirClient;
@@ -882,6 +835,40 @@ mod tests {
             );
         }
         drop(transports);
+        router.shutdown();
+        for service in services {
+            service.shutdown();
+        }
+    }
+
+    #[test]
+    fn routed_replays_arrive_in_the_replicas_bounded_prefixes() {
+        // A 64-byte replay frame holds two single-record batches (each
+        // batch body is 24 bytes here), so five batches take three
+        // replies. The router forwards each request and each bounded
+        // reply as it is; the client's replay loop reassembles them.
+        let topology = routed_fleet(2);
+        let config = ServiceConfig {
+            max_replay_frame_bytes: 64,
+            ..ServiceConfig::default()
+        };
+        let services: Vec<_> = (0..2)
+            .map(|index| build_service_with(&topology, index, config).unwrap())
+            .collect();
+        let router = PirRouter::bind(&topology).unwrap();
+        let mut routed = TcpTransport::connect(router.addr()).unwrap();
+        for round in 0..5u8 {
+            routed
+                .apply_updates(&[(u64::from(round), vec![round; 8])])
+                .unwrap();
+        }
+
+        let mut direct = TcpTransport::connect(services[0].addr()).unwrap();
+        let expected = direct.replay_updates(0).unwrap();
+        assert_eq!(expected.len(), 5);
+        assert_eq!(routed.replay_updates(0).unwrap(), expected);
+
+        drop((routed, direct));
         router.shutdown();
         for service in services {
             service.shutdown();

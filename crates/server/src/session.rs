@@ -38,15 +38,10 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
-use impir_core::batch::UpdateOutcome;
-use impir_core::transport::{EpochInfo, ScanResult, ServerInfo};
-use impir_core::wire::{Frame, MAX_FRAME_BYTES, WIRE_VERSION};
-use impir_core::{PirError, UpdateBatch};
+use impir_core::wire::{error_reply, Frame, MAX_FRAME_BYTES, WIRE_VERSION};
+use impir_core::PirError;
 
-use crate::{
-    dispatcher_gone_frame, error_frame, protocol, query_reply_frame, replay_reply_frame,
-    scan_result_frame, update_ack_frame, QueryReply, ServiceConfig, ServiceRequest,
-};
+use crate::{protocol, ServiceConfig, ServiceRequest};
 
 /// Replies one connection may be owed at a time — forwarded to the
 /// dispatcher or ready, but not yet written; past it the reader stops
@@ -189,49 +184,10 @@ pub(crate) struct SessionContext {
     pub(crate) config: ServiceConfig,
 }
 
-/// A reply the dispatcher owes one logical session.
-enum PendingReply {
-    /// The handshake's `Info` round trip; answered as `HelloAck`.
-    Hello(Receiver<ServerInfo>),
-    Info(Receiver<ServerInfo>),
-    Epoch(Receiver<EpochInfo>),
-    Query(Receiver<Result<QueryReply, PirError>>),
-    Update(Receiver<Result<UpdateOutcome, PirError>>),
-    Scan(Receiver<Result<ScanResult, PirError>>),
-    Replay {
-        rx: Receiver<Result<Vec<UpdateBatch>, PirError>>,
-        from_epoch: u64,
-    },
-}
-
-impl PendingReply {
-    /// Blocks until the dispatcher has answered and builds the reply
-    /// frame; a dispatcher that exited instead yields an error frame.
-    fn wait(self, max_replay_frame_bytes: usize) -> Frame {
-        fn answer<T>(rx: &Receiver<T>, build: impl FnOnce(T) -> Frame) -> Frame {
-            rx.recv().map_or_else(|_| dispatcher_gone_frame(), build)
-        }
-        match self {
-            PendingReply::Hello(rx) => answer(&rx, |info| Frame::HelloAck {
-                version: WIRE_VERSION,
-                info,
-            }),
-            PendingReply::Info(rx) => answer(&rx, |info| Frame::Info { info }),
-            PendingReply::Epoch(rx) => answer(&rx, |info| Frame::EpochInfo { info }),
-            PendingReply::Query(rx) => answer(&rx, query_reply_frame),
-            PendingReply::Update(rx) => answer(&rx, update_ack_frame),
-            PendingReply::Scan(rx) => answer(&rx, scan_result_frame),
-            PendingReply::Replay { rx, from_epoch } => answer(&rx, |result| {
-                replay_reply_frame(result, from_epoch, max_replay_frame_bytes)
-            }),
-        }
-    }
-}
-
 /// What dispatching one parsed request produced.
 enum Dispatch {
-    /// Forwarded; the reply arrives through the held receiver.
-    Pending(PendingReply),
+    /// Forwarded; the reply frame arrives through the held receiver.
+    Pending(Receiver<Frame>),
     /// Answered locally without touching the dispatcher.
     Immediate(Frame),
     /// A protocol violation: send the frame, then close the connection.
@@ -242,66 +198,33 @@ enum Dispatch {
     EndSession,
 }
 
+/// The `Error` frame a request gets when the dispatcher has exited.
+fn dispatcher_gone_frame() -> Frame {
+    error_reply(&protocol("service dispatcher is gone"))
+}
+
 /// Forwards one request to the dispatcher without blocking. `opening` is
 /// true for a connection's first frame only — the one place a `Hello` is
 /// a request rather than a violation.
 fn dispatch(requests: &Sender<ServiceRequest>, frame: Frame, opening: bool) -> Dispatch {
-    macro_rules! forward {
-        ($request:expr, $pending:expr) => {
-            match requests.try_send($request) {
-                Ok(()) => Dispatch::Pending($pending),
-                Err(TrySendError::Full(_)) => Dispatch::Overloaded,
-                Err(TrySendError::Disconnected(_)) => Dispatch::Immediate(dispatcher_gone_frame()),
-            }
-        };
-    }
-    match frame {
-        Frame::Hello { .. } if opening => {
-            let (reply, rx) = bounded(1);
-            forward!(ServiceRequest::Info { reply }, PendingReply::Hello(rx))
-        }
-        Frame::QueryBatch { shares } => {
-            let (reply, rx) = bounded(1);
-            forward!(
-                ServiceRequest::Query { shares, reply },
-                PendingReply::Query(rx)
-            )
-        }
-        Frame::UpdateBatch { updates } => {
-            let (reply, rx) = bounded(1);
-            forward!(
-                ServiceRequest::Update { updates, reply },
-                PendingReply::Update(rx)
-            )
-        }
-        Frame::SelectorScan { selector } => {
-            let (reply, rx) = bounded(1);
-            forward!(
-                ServiceRequest::Scan { selector, reply },
-                PendingReply::Scan(rx)
-            )
-        }
-        Frame::InfoRequest => {
-            let (reply, rx) = bounded(1);
-            forward!(ServiceRequest::Info { reply }, PendingReply::Info(rx))
-        }
-        Frame::EpochInfoRequest => {
-            let (reply, rx) = bounded(1);
-            forward!(ServiceRequest::EpochInfo { reply }, PendingReply::Epoch(rx))
-        }
-        Frame::UpdateReplayRequest { from_epoch } => {
-            let (reply, rx) = bounded(1);
-            forward!(
-                ServiceRequest::Replay { from_epoch, reply },
-                PendingReply::Replay { rx, from_epoch }
-            )
-        }
-        Frame::Goodbye => Dispatch::EndSession,
+    let forward = match &frame {
+        Frame::Goodbye => return Dispatch::EndSession,
+        Frame::Hello { .. } => opening,
+        Frame::UpdateBatch { .. } => true,
+        request => request.is_idempotent_request(),
+    };
+    if !forward {
         // Hello mid-session or a server-only frame. (A nested Mux can
         // never reach here — the decoder rejects it.)
-        other => Dispatch::Violation(Frame::Error {
-            message: format!("unexpected {} frame mid-session", other.name()),
-        }),
+        return Dispatch::Violation(Frame::Error {
+            message: format!("unexpected {} frame mid-session", frame.name()),
+        });
+    }
+    let (reply, rx) = bounded(1);
+    match requests.try_send(ServiceRequest { frame, reply }) {
+        Ok(()) => Dispatch::Pending(rx),
+        Err(TrySendError::Full(_)) => Dispatch::Overloaded,
+        Err(TrySendError::Disconnected(_)) => Dispatch::Immediate(dispatcher_gone_frame()),
     }
 }
 
@@ -328,7 +251,7 @@ struct Owed {
 }
 
 enum Reply {
-    Pending(PendingReply),
+    Pending(Receiver<Frame>),
     Ready(Frame),
 }
 
@@ -366,7 +289,7 @@ fn read_requests(mut stream: TcpStream, replies: Sender<Owed>, ctx: &SessionCont
             Ok(None) => return, // clean close
             Err(err) => {
                 // Framing is broken: report if possible, then close.
-                let _ = replies.send(ready(None, error_frame(&err)));
+                let _ = replies.send(ready(None, error_reply(&err)));
                 return;
             }
         };
@@ -386,7 +309,7 @@ fn read_requests(mut stream: TcpStream, replies: Sender<Owed>, ctx: &SessionCont
             Frame::Mux { session: 0, .. } => {
                 let _ = replies.send(ready(
                     None,
-                    error_frame(&protocol(
+                    error_reply(&protocol(
                         "session id 0 is reserved for the connection's root session",
                     )),
                 ));
@@ -397,7 +320,7 @@ fn read_requests(mut stream: TcpStream, replies: Sender<Owed>, ctx: &SessionCont
                     if !ctx.budget.claim_mux() {
                         // The refusal is scoped to the new logical session:
                         // its co-tenants on this connection keep working.
-                        let refusal = error_frame(&protocol(
+                        let refusal = error_reply(&protocol(
                             "the server's logical session budget is exhausted",
                         ));
                         if replies.send(ready(Some(session), refusal)).is_err() {
@@ -438,9 +361,10 @@ fn read_requests(mut stream: TcpStream, replies: Sender<Owed>, ctx: &SessionCont
 /// The writer half: the FIFO's replies onto the socket, in order.
 fn write_replies(mut stream: TcpStream, owed: &Receiver<Owed>, ctx: &SessionContext) {
     while let Ok(Owed { session, reply }) = owed.recv() {
+        // A dispatcher that exited instead of answering yields an error.
         let frame = match reply {
             Reply::Ready(frame) => frame,
-            Reply::Pending(pending) => pending.wait(ctx.config.max_replay_frame_bytes),
+            Reply::Pending(rx) => rx.recv().unwrap_or_else(|_| dispatcher_gone_frame()),
         };
         // A failed write, or a reply the encoder refuses (over the frame
         // size bound), leaves nothing valid to send on this framing.
@@ -577,7 +501,10 @@ mod tests {
         // drains the receiver yet).
         let (reply, _keep) = bounded(1);
         requests
-            .try_send(ServiceRequest::EpochInfo { reply })
+            .try_send(ServiceRequest {
+                frame: Frame::EpochInfoRequest,
+                reply,
+            })
             .unwrap();
         assert!(matches!(
             dispatch(&requests, Frame::InfoRequest, false),
@@ -587,7 +514,11 @@ mod tests {
         let _ = request_rx.try_recv().unwrap();
         assert!(matches!(
             dispatch(&requests, Frame::InfoRequest, false),
-            Dispatch::Pending(PendingReply::Info(_))
+            Dispatch::Pending(_)
+        ));
+        assert!(matches!(
+            request_rx.try_recv().unwrap().frame,
+            Frame::InfoRequest
         ));
         // A dead dispatcher is a different, non-retryable answer.
         drop(request_rx);
@@ -599,7 +530,7 @@ mod tests {
 
     #[test]
     fn goodbye_and_server_only_frames_classify_correctly() {
-        let (requests, _rx) = bounded::<ServiceRequest>(4);
+        let (requests, request_rx) = bounded::<ServiceRequest>(4);
         assert!(matches!(
             dispatch(&requests, Frame::Goodbye, false),
             Dispatch::EndSession
@@ -625,7 +556,11 @@ mod tests {
         ));
         assert!(matches!(
             dispatch(&requests, hello, true),
-            Dispatch::Pending(PendingReply::Hello(_))
+            Dispatch::Pending(_)
+        ));
+        assert!(matches!(
+            request_rx.try_recv().unwrap().frame,
+            Frame::Hello { .. }
         ));
     }
 }

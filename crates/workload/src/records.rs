@@ -1,7 +1,6 @@
 //! Database generation: random fixed-size hash records.
 
 use impir_core::{Database, PirError};
-use serde::{Deserialize, Serialize};
 
 /// A declarative description of a synthetic PIR database.
 ///
@@ -17,7 +16,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(db.record_size(), 32);
 /// # Ok::<(), impir_core::PirError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DatabaseSpec {
     /// Number of records.
     pub num_records: u64,

@@ -7,13 +7,11 @@
 //! examples and benchmarks can speak the application's language instead of
 //! raw byte counts.
 
-use serde::{Deserialize, Serialize};
-
 use crate::queries::QueryDistribution;
 use crate::records::DatabaseSpec;
 
 /// A named PIR application scenario.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Scenario {
     /// Human-readable scenario name.
     pub name: String,

@@ -18,9 +18,11 @@ use std::sync::Arc;
 use im_pir::core::multi_server::NServerNaivePir;
 use im_pir::core::scheme::TwoServerPir;
 use im_pir::core::topology::{BackendSpec, FleetTopology, RebalanceMode, ReplicaSpec, ShardPolicy};
-use im_pir::core::transport::{LocalTransport, MuxConnection, PirTransport, TcpTransport};
-use im_pir::core::wire::{Frame, WIRE_VERSION};
-use im_pir::core::{PirClient, PirError};
+use im_pir::core::transport::{
+    EpochInfo, LocalTransport, MuxConnection, PirTransport, ServerInfo, TcpTransport,
+};
+use im_pir::core::wire::{Frame, MUX_OVERHEAD_BYTES, WIRE_VERSION};
+use im_pir::core::{PirClient, PirError, ServerResponse, UpdateBatch};
 use impir_server::{build_service, build_service_with, ServiceConfig};
 
 const RECORDS: u64 = 600;
@@ -101,6 +103,151 @@ fn tcp_and_local_transports_answer_byte_identically_across_updates() {
 
         service.shutdown();
     }
+}
+
+/// What one operation of the parity table returned, minus the timings
+/// (which no two runs share).
+#[derive(Debug, Clone, PartialEq)]
+enum Outcome {
+    Info(ServerInfo),
+    Batch {
+        responses: Vec<ServerResponse>,
+        epoch: u64,
+        upload_bytes: u64,
+        download_bytes: u64,
+    },
+    Scan {
+        payload: Vec<u8>,
+        epoch: u64,
+    },
+    Update {
+        records_updated: usize,
+        epoch: u64,
+    },
+    Epoch(EpochInfo),
+    Replay(Vec<UpdateBatch>),
+}
+
+type Operation<'a> = Box<dyn Fn(&mut dyn PirTransport) -> Result<Outcome, PirError> + 'a>;
+
+#[test]
+fn every_transport_answers_every_operation_identically() {
+    // The six typed operations are written once, over each transport's
+    // round trip; this pins that an in-process engine, a connection of its
+    // own and a multiplexed session give the same answers — typed errors
+    // included — and the same wire-cost accounting.
+    let mut topology = cpu_fleet(2);
+    topology.journal_batches = 2;
+    let tcp_service = build_service(&topology, 0).unwrap();
+    let mux_service = build_service(&topology, 0).unwrap();
+    let conn = MuxConnection::connect(mux_service.addr()).unwrap();
+    let mut local = LocalTransport::new(topology.build_engine(0).unwrap());
+    let mut tcp = TcpTransport::connect(tcp_service.addr()).unwrap();
+    let mut mux = conn.session().unwrap();
+
+    let mut client = PirClient::new(RECORDS, RECORD_BYTES, 33).unwrap();
+    let (shares, _) = client.generate_batch(&[3, 300, 599]).unwrap();
+    let selector: impir_dpf::SelectorVector = (0..RECORDS).map(|i| i % 5 == 1).collect();
+    let update = |round: u8| vec![(u64::from(round) * 7, vec![round; RECORD_BYTES])];
+    let query: Operation = Box::new(|t| {
+        let batch = t.query_batch(&shares)?;
+        Ok(Outcome::Batch {
+            responses: batch.responses,
+            epoch: batch.epoch,
+            upload_bytes: batch.upload_bytes,
+            download_bytes: batch.download_bytes,
+        })
+    });
+    let apply = |round: u8| -> Operation {
+        Box::new(move |t| {
+            let outcome = t.apply_updates(&update(round))?;
+            Ok(Outcome::Update {
+                records_updated: outcome.records_updated,
+                epoch: outcome.epoch,
+            })
+        })
+    };
+    let replay = |from_epoch: u64| -> Operation {
+        Box::new(move |t| t.replay_updates(from_epoch).map(Outcome::Replay))
+    };
+    let table: Vec<(&str, Operation)> = vec![
+        ("info", Box::new(|t| t.server_info().map(Outcome::Info))),
+        ("query", query),
+        (
+            "scan",
+            Box::new(|t| {
+                let scan = t.scan_selector(&selector)?;
+                Ok(Outcome::Scan {
+                    payload: scan.payload,
+                    epoch: scan.epoch,
+                })
+            }),
+        ),
+        ("update 1", apply(1)),
+        (
+            "epoch info",
+            Box::new(|t| t.epoch_info().map(Outcome::Epoch)),
+        ),
+        ("replay from 0", replay(0)),
+        (
+            "query after the update",
+            Box::new(|t| {
+                let batch = t.query_batch(&shares)?;
+                Ok(Outcome::Batch {
+                    responses: batch.responses,
+                    epoch: batch.epoch,
+                    upload_bytes: batch.upload_bytes,
+                    download_bytes: batch.download_bytes,
+                })
+            }),
+        ),
+        ("update 2", apply(2)),
+        ("update 3", apply(3)),
+        ("replay from 2", replay(2)),
+        // The two-batch journal no longer reaches back to epoch 0.
+        ("replay past the journal", replay(0)),
+    ];
+
+    let mut answers = Vec::new();
+    for (name, operation) in &table {
+        let from_local = operation(&mut local);
+        let from_tcp = operation(&mut tcp);
+        let from_mux = operation(&mut mux);
+        assert_eq!(from_local, from_tcp, "{name}: local vs TCP");
+        // A multiplexed frame carries a session id and the inner tag on
+        // top of the plain frame, in each direction.
+        let mux_expected = from_tcp.map(|outcome| match outcome {
+            Outcome::Batch {
+                responses,
+                epoch,
+                upload_bytes,
+                download_bytes,
+            } => Outcome::Batch {
+                responses,
+                epoch,
+                upload_bytes: upload_bytes + MUX_OVERHEAD_BYTES as u64,
+                download_bytes: download_bytes + MUX_OVERHEAD_BYTES as u64,
+            },
+            other => other,
+        });
+        assert_eq!(from_mux, mux_expected, "{name}: mux vs TCP");
+        answers.push(from_local);
+    }
+    // The answers are the right ones, not merely the same ones.
+    assert_eq!(answers[5], Ok(Outcome::Replay(vec![update(1)])));
+    assert_eq!(answers[9], Ok(Outcome::Replay(vec![update(3)])));
+    assert_eq!(
+        answers[10],
+        Err(PirError::JournalTruncated {
+            from_epoch: 0,
+            oldest_replayable: 1,
+            current_epoch: 3,
+        })
+    );
+
+    drop((tcp, mux, conn));
+    tcp_service.shutdown();
+    mux_service.shutdown();
 }
 
 #[test]
@@ -407,7 +554,7 @@ fn client_side_overloaded_error_is_typed_and_retryable() {
     // One session holds the dispatcher with a bulk update while two more
     // hammer queries; with a single admission slot at least one query
     // observes the typed refusal.
-    let saw_overload = std::thread::scope(|scope| {
+    let (saw_overload, sessions) = std::thread::scope(|scope| {
         let updater = {
             let mut session = conn.session().unwrap();
             let updates = &updates;
@@ -429,20 +576,27 @@ fn client_side_overloaded_error_is_typed_and_retryable() {
                             Err(other) => panic!("only typed shedding is acceptable: {other}"),
                         }
                     }
-                    // Recovery on the very same logical session.
-                    session.query_batch(shares).unwrap();
-                    hits
+                    (hits, session)
                 })
             })
             .collect();
         assert_eq!(updater.join().unwrap().epoch, 1);
-        queriers.into_iter().map(|h| h.join().unwrap()).sum::<u32>()
+        let (hits, sessions): (Vec<u32>, Vec<_>) =
+            queriers.into_iter().map(|h| h.join().unwrap()).unzip();
+        (hits.into_iter().sum::<u32>(), sessions)
     });
     assert!(
         saw_overload > 0,
         "two query sessions against a 1-slot queue during a bulk update \
          must observe at least one typed Overloaded refusal"
     );
+    // Recovery on the very same logical sessions, once every other
+    // request has been answered: with nothing else in flight the single
+    // admission slot is free, so a refusal here would be a real failure
+    // to recover, not contention.
+    for mut session in sessions {
+        session.query_batch(&shares).unwrap();
+    }
 
     drop(conn);
     service.shutdown();
